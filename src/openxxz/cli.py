@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -137,10 +138,12 @@ def main(argv=None) -> int:
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write("\n".join(lines) + "\n")
-        ok = all(r["rel_diff"] < 1e-6 or r["flagged"] is False for r in rows)
-        last = rows[-1]
-        return EXIT_OK if (last["rel_diff"] != last["rel_diff"]
-                           or last["rel_diff"] < 1e-6) else EXIT_NUMERICAL_FAILURE
+        unchecked = sum(math.isnan(r["rel_diff"]) for r in rows)
+        if unchecked:
+            print(f"homog: {unchecked} of {len(rows)} rows unchecked, the dense oracle "
+                  f"runs only for N <= 3", file=sys.stderr)
+            return EXIT_NUMERICAL_FAILURE
+        return EXIT_OK if rows[-1]["rel_diff"] < 1e-6 else EXIT_NUMERICAL_FAILURE
 
     report = run_suite(config)
     return _emit(report, args)

@@ -18,8 +18,10 @@ import numpy as np
 
 from .trig import ModelParams, BoundaryParams, dist_to_ipi_lattice
 from .lattice import (
+    PERM4,
     AuxOp,
     ID2,
+    apply_local,
     kmat_minus,
     kmat_plus,
     rel_residual,
@@ -66,47 +68,25 @@ def r_sos(lam, beta, eta) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Dynamical embeddings on the chain.  Site 1 is the most significant qubit;
-# the shift sum_{j>n} sigma_j^z is diagonal in the product basis.
+# Dynamical factors on the chain.  Site 1 is the most significant qubit; the
+# shift sum_{j>n} sigma_j^z is diagonal in the product basis.
 # ---------------------------------------------------------------------------
 
-def _sz_of_bits(c: int, nbits: int) -> int:
-    """sum of sigma^z eigenvalues of an nbits-configuration (bit 0 = up)."""
-    return nbits - 2 * bin(c).count("1")
+def _sz_stack(mat_fn, nbits: int) -> np.ndarray:
+    """mat_fn(k) for each sigma^z configuration of nbits sites, in basis order,
+    with k the configuration's total sigma^z (bit 0 = up)."""
+    sz = np.zeros(1, dtype=int)
+    for _ in range(nbits):
+        sz = np.concatenate([sz + 1, sz - 1])
+    mats = np.array([mat_fn(k) for k in range(-nbits, nbits + 1, 2)])
+    return mats[(sz + nbits) // 2]
 
 
-def _dyn_site_factor(mat_fn, n: int, N: int) -> np.ndarray:
-    """Operator on H applying mat_fn(k) at site n, k = sz of sites > n."""
-    dim_left = 2 ** (n - 1)
-    nb = N - n
-    dim_right = 2 ** nb
-    out = np.zeros((2 ** N, 2 ** N), dtype=complex)
-    for c in range(dim_right):
-        proj = np.zeros((dim_right, dim_right), dtype=complex)
-        proj[c, c] = 1
-        m2 = mat_fn(_sz_of_bits(c, nb))
-        out += np.kron(np.kron(np.eye(dim_left, dtype=complex), m2), proj)
-    return out
-
-
-def _dyn_site_aux_factor(mat4_fn, n: int, N: int, site_first: bool) -> AuxOp:
-    """AuxOp of a dynamical 4x4 factor acting on (site n, aux).
-
-    ``mat4_fn(k)`` returns the 4x4 matrix at dynamical shift k; ``site_first``
-    selects whether its first tensor leg is the site (R_{n0}) or the
-    auxiliary space (R_{0n}).
-    """
-    blocks = [[None, None], [None, None]]
-    for a in range(2):
-        for b in range(2):
-            def m2_fn(k, a=a, b=b):
-                r = mat4_fn(k)
-                if site_first:
-                    return np.array([[r[2 * s + a, 2 * t + b] for t in range(2)]
-                                     for s in range(2)])
-                return np.array([[r[2 * a + s, 2 * b + t] for t in range(2)]
-                                 for s in range(2)])
-            blocks[a][b] = _dyn_site_factor(m2_fn, n, N)
+def _aux_diag(stack) -> AuxOp:
+    """AuxOp whose (a, b) block is diagonal with entries stack[:, a, b]."""
+    dim = len(stack)
+    blocks = np.zeros((2, 2, dim, dim), dtype=complex)
+    blocks[:, :, np.arange(dim), np.arange(dim)] = stack.transpose(1, 2, 0)
     return AuxOp(blocks)
 
 
@@ -115,9 +95,8 @@ def s_chain(params: ModelParams, beta, alpha) -> np.ndarray:
     N, eta = params.N, params.eta
     out = np.eye(2 ** N, dtype=complex)
     for n in range(N, 0, -1):
-        factor = _dyn_site_factor(
-            lambda k, n=n: s_local(-params.xi[n - 1], beta + k, alpha, eta), n, N)
-        out = out @ factor
+        out = apply_local(out, _sz_stack(
+            lambda k: s_local(-params.xi[n - 1], beta + k, alpha, eta), N - n), n)
     return out
 
 
@@ -131,18 +110,8 @@ def s_chain_aux(params: ModelParams, beta, alpha, sign: int = 1) -> AuxOp:
 
 def s_aux_dyn(lam, beta, alpha, params: ModelParams, inverse: bool = False) -> AuxOp:
     """S_0(lam | beta + S^z): scalar gauge matrix with shift by the total spin."""
-    N = params.N
-    dim = 2 ** N
-    sz = np.array([_sz_of_bits(c, N) for c in range(dim)])
-    blocks = np.zeros((2, 2, dim, dim), dtype=complex)
-    for k in sorted(set(sz)):
-        sel = np.diag((sz == k).astype(complex))
-        m2 = s_local_inv(lam, beta + k, alpha, params.eta) if inverse \
-            else s_local(lam, beta + k, alpha, params.eta)
-        for a in range(2):
-            for b in range(2):
-                blocks[a, b] += m2[a, b] * sel
-    return AuxOp(blocks)
+    s_fn = s_local_inv if inverse else s_local
+    return _aux_diag(_sz_stack(lambda k: s_fn(lam, beta + k, alpha, params.eta), params.N))
 
 
 def m_sos(lam, params: ModelParams, beta) -> AuxOp:
@@ -150,10 +119,10 @@ def m_sos(lam, params: ModelParams, beta) -> AuxOp:
     N, eta = params.N, params.eta
     out = AuxOp.identity(2 ** N)
     for n in range(N, 0, -1):
-        factor = _dyn_site_aux_factor(
-            lambda k, n=n: r_sos(lam - params.xi[n - 1] - eta / 2, beta + k, eta),
-            n, N, site_first=True)
-        out = out @ factor
+        # PERM4 moves the site leg of R_{n0} second, as apply_local expects
+        out = apply_local(out, _sz_stack(
+            lambda k: PERM4 @ r_sos(lam - params.xi[n - 1] - eta / 2, beta + k, eta) @ PERM4,
+            N - n), n)
     return out
 
 
@@ -162,10 +131,8 @@ def mhat_sos(lam, params: ModelParams, beta) -> AuxOp:
     N, eta = params.N, params.eta
     out = AuxOp.identity(2 ** N)
     for n in range(1, N + 1):
-        factor = _dyn_site_aux_factor(
-            lambda k, n=n: r_sos(lam + params.xi[n - 1] - eta / 2, beta + k, eta),
-            n, N, site_first=False)
-        out = out @ factor
+        out = apply_local(out, _sz_stack(
+            lambda k: r_sos(lam + params.xi[n - 1] - eta / 2, beta + k, eta), N - n), n)
     return out
 
 
@@ -182,8 +149,7 @@ def u_tilde(lam, params: ModelParams, beta, alpha) -> AuxOp:
     return u.left_scalar(left).right_scalar(right)
 
 
-def sos_block(name: str, lam, label, params: ModelParams, gauge: GaugeParams,
-              _cache=None) -> np.ndarray:
+def sos_block(name: str, lam, label, params: ModelParams, gauge: GaugeParams) -> np.ndarray:
     """Entry of the SOS boundary monodromy at dynamical label ``label``.
 
     A and B conjugate with the chain gauge at label+1 on the left; C and D
@@ -210,19 +176,9 @@ def u_sos(lam, params: ModelParams, beta, gauge: GaugeParams) -> AuxOp:
 
 def u_sos_via_bulk(lam, params: ModelParams, beta, gauge: GaugeParams) -> AuxOp:
     """Boundary-bulk decomposition M^SOS K^SOS_-(lam | beta + S^z) Mhat^SOS."""
-    m = m_sos(lam, params, beta)
-    mh = mhat_sos(lam, params, beta)
-    N = params.N
-    dim = 2 ** N
-    sz = np.array([_sz_of_bits(c, N) for c in range(dim)])
-    kblocks = np.zeros((2, 2, dim, dim), dtype=complex)
-    for k in sorted(set(sz)):
-        sel = np.diag((sz == k).astype(complex))
-        k2 = k_sos_minus(lam, beta + k, params, gauge.alpha)
-        for a in range(2):
-            for b in range(2):
-                kblocks[a, b] += k2[a, b] * sel
-    return m @ AuxOp(kblocks) @ mh
+    k_sos = _aux_diag(_sz_stack(
+        lambda k: k_sos_minus(lam, beta + k, params, gauge.alpha), params.N))
+    return m_sos(lam, params, beta) @ k_sos @ mhat_sos(lam, params, beta)
 
 
 def k_sos_minus(lam, beta, params: ModelParams, alpha) -> np.ndarray:
@@ -414,7 +370,7 @@ def vertex_irf_residual(lam, mu, beta, alpha, eta) -> float:
 
 def vertex_irf2_residual(lam, mu, beta, alpha, eta) -> float:
     """Second form of the Vertex-IRF relation, with the permuted SOS matrix."""
-    from .lattice import r6v, PERM4
+    from .lattice import r6v
 
     def s1_dyn(lamv, base):
         out = np.zeros((4, 4), dtype=complex)
@@ -445,8 +401,7 @@ def virf_bulk_residual(lam, params: ModelParams, gauge: GaugeParams) -> float:
     eta = params.eta
     m = bulk_monodromy(lam, params)
     schain = s_chain(params, beta, alpha)
-    lhs = AuxOp(np.einsum("ijab,bc->ijac", m.blocks, schain))
-    lhs = lhs @ s_aux_dyn(-lam + eta / 2, beta, alpha, params)
+    lhs = AuxOp(m.blocks @ schain) @ s_aux_dyn(-lam + eta / 2, beta, alpha, params)
     s0 = s_local(-lam + eta / 2, beta, alpha, eta)
     rhs = s_chain_aux(params, beta, alpha).left_scalar(s0) @ m_sos(lam, params, beta)
     return rel_residual(lhs.full(), rhs.full())
@@ -462,7 +417,7 @@ def virf_mhat_residual(lam, params: ModelParams, gauge: GaugeParams) -> float:
     schain = s_chain(params, beta, alpha)
     lhs = mh.right_scalar(s0) @ s_chain_aux(params, beta, alpha)
     rhs_right = s_aux_dyn(lam - eta / 2, beta, alpha, params) @ mhat_sos(lam, params, beta)
-    rhs = AuxOp(np.einsum("ab,ijbc->ijac", schain, rhs_right.blocks))
+    rhs = AuxOp(schain @ rhs_right.blocks)
     return rel_residual(lhs.full(), rhs.full())
 
 
@@ -504,7 +459,6 @@ def dyn_reflection_residual(lam, mu, params: ModelParams, gauge: GaugeParams,
                     full += np.kron(np.kron(proj, e), u.blocks[a, b])
         return full
 
-    from .lattice import PERM4
     def r12(r4):
         return np.kron(r4, np.eye(dim, dtype=complex))
 

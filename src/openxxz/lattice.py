@@ -39,9 +39,7 @@ class AuxOp:
 
     @classmethod
     def identity(cls, dim: int) -> "AuxOp":
-        z = np.zeros((dim, dim), dtype=complex)
-        eye = np.eye(dim, dtype=complex)
-        return cls([[eye, z], [z, eye]])
+        return cls.from_full(np.eye(2 * dim, dtype=complex))
 
     @classmethod
     def from_scalar_matrix(cls, mat2, dim: int) -> "AuxOp":
@@ -49,14 +47,18 @@ class AuxOp:
         return cls([[mat2[0, 0] * eye, mat2[0, 1] * eye],
                     [mat2[1, 0] * eye, mat2[1, 1] * eye]])
 
+    @classmethod
+    def from_full(cls, mat) -> "AuxOp":
+        """View a 2*dim x 2*dim matrix (aux leftmost) as a 2x2 array of blocks."""
+        dim = mat.shape[0] // 2
+        return cls(mat.reshape(2, dim, 2, dim).transpose(0, 2, 1, 3))
+
     def full(self) -> np.ndarray:
         """Reassemble the 2*dim x 2*dim matrix (aux leftmost)."""
-        return np.block([[self.blocks[0, 0], self.blocks[0, 1]],
-                         [self.blocks[1, 0], self.blocks[1, 1]]])
+        return self.blocks.transpose(0, 2, 1, 3).reshape(2 * self.dim, 2 * self.dim)
 
     def __matmul__(self, other: "AuxOp") -> "AuxOp":
-        b = np.einsum("ikab,kjbc->ijac", self.blocks, other.blocks)
-        return AuxOp(b)
+        return AuxOp.from_full(self.full() @ other.full())
 
     def __add__(self, other: "AuxOp") -> "AuxOp":
         return AuxOp(self.blocks + other.blocks)
@@ -101,6 +103,30 @@ class AuxOp:
         return self.blocks[1, 1]
 
 
+def apply_local(op, factor, n: int):
+    """op @ F for a factor F local to site n (1-based), without embedding F.
+
+    For a plain operator F is 2x2 on site n; for an :class:`AuxOp` it is 4x4
+    on aux (x) site n, aux as the first tensor leg.  ``factor`` may instead be
+    a stack with one such matrix per sigma^z configuration of the sites right
+    of n (shape (2^(N-n), k, k), configurations in basis order), each applied
+    on its own configuration: the dynamical SOS case.  The column index splits
+    into (aux, left sites, site n, right sites) and one contraction does the
+    product, O(size of op) work instead of a dense matmul.
+    """
+    aux = isinstance(op, AuxOp)
+    mat = op.full() if aux else op
+    rows, cols = mat.shape
+    a = 2 if aux else 1
+    left = 2 ** (n - 1)
+    right = cols // (2 * a * left)
+    stack = np.broadcast_to(factor, (right, 2 * a, 2 * a)).reshape(right, a, 2, a, 2)
+    out = np.einsum("ibltc,cbtus->iulsc", mat.reshape(rows, a, left, 2, right), stack,
+                    optimize=True)
+    out = out.reshape(rows, cols)
+    return AuxOp.from_full(out) if aux else out
+
+
 def r6v(lam, eta) -> np.ndarray:
     """Trigonometric 6-vertex R-matrix on C^2 (x) C^2."""
     sl, se = np.sinh(lam), np.sinh(eta)
@@ -131,23 +157,12 @@ def kmat_plus(lam, params: ModelParams) -> np.ndarray:
     return kmat_generic(lam + params.eta, b.sigma, b.kappa, b.tau, params.eta)
 
 
-def _embed_r_aux_site(r4, n: int, N: int) -> AuxOp:
-    """AuxOp for an R factor with first tensor leg on aux, second on site n."""
-    blocks = [[None, None], [None, None]]
-    for a in range(2):
-        for b in range(2):
-            m2 = np.array([[r4[2 * a + s, 2 * b + t] for t in range(2)] for s in range(2)])
-            blocks[a][b] = site_op(m2, n, N)
-    return AuxOp(blocks)
-
-
 def bulk_monodromy(lam, params: ModelParams) -> AuxOp:
     """M(lam) = R_{0N}(lam - xi_N - eta/2) ... R_{01}(lam - xi_1 - eta/2)."""
     N = params.N
     out = AuxOp.identity(2 ** N)
     for n in range(N, 0, -1):
-        r4 = r6v(lam - params.xi[n - 1] - params.eta / 2, params.eta)
-        out = out @ _embed_r_aux_site(r4, n, N)
+        out = apply_local(out, r6v(lam - params.xi[n - 1] - params.eta / 2, params.eta), n)
     return out
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from openxxz.trig import random_params, rng_for
-from openxxz.lattice import rel_residual, transfer, u_minus
+from openxxz.lattice import bulk_monodromy, r6v, rel_residual, site_op, transfer, u_minus
 from openxxz.gauge import (
     ad_plus,
     ad_plus_raw,
@@ -14,6 +14,8 @@ from openxxz.gauge import (
     gauge_is_safe,
     k_plus_hat,
     k_sos_minus,
+    m_sos,
+    mhat_sos,
     r_sos,
     s_chain,
     s_local,
@@ -36,6 +38,14 @@ from openxxz.gauge import (
 @pytest.fixture(scope="module")
 def setup3():
     params = random_params(3, seed=1)
+    gauge = solve_gauge(params.boundary_plus, 1, 1, params.eta)
+    assert gauge_is_safe(gauge, params)
+    return params, gauge
+
+
+@pytest.fixture(scope="module")
+def setup5():
+    params = random_params(5, seed=1)
     gauge = solve_gauge(params.boundary_plus, 1, 1, params.eta)
     assert gauge_is_safe(gauge, params)
     return params, gauge
@@ -83,11 +93,58 @@ def test_s_chain_single_site_and_inverse():
     assert rel_residual(s3 @ np.linalg.inv(s3), np.eye(8)) < 1e-12
 
 
-def test_virf_bulk_relations(setup3):
-    params, gauge = setup3
+def test_virf_bulk_relations(setup3, setup5):
     lam = 0.43 + 0.19j
-    assert virf_bulk_residual(lam, params, gauge) < 1e-10
-    assert virf_mhat_residual(lam, params, gauge) < 1e-10
+    for params, gauge in (setup3, setup5):
+        assert virf_bulk_residual(lam, params, gauge) < 1e-10
+        assert virf_mhat_residual(lam, params, gauge) < 1e-10
+
+
+def test_chain_products_match_kron_embedding():
+    # reference: every local factor embedded as a dense 2^N x 2^N matrix with
+    # site_op krons, site 1 the most significant qubit, the dynamical shift k
+    # the total sigma^z of the sites right of n
+    def dyn(mat_fn, n, N):
+        out = 0
+        for c in range(2 ** (N - n)):
+            proj = np.zeros((2 ** (N - n),) * 2)
+            proj[c, c] = 1
+            k = N - n - 2 * bin(c).count("1")
+            out = out + np.kron(site_op(mat_fn(k), n, n), proj)
+        return out
+
+    def aux_dyn(r4_fn, n, N, site_first):
+        out = 0
+        for a in range(2):
+            for b in range(2):
+                e = np.zeros((2, 2))
+                e[a, b] = 1
+
+                def block(k):
+                    r = r4_fn(k).reshape(2, 2, 2, 2)
+                    return r[:, a, :, b] if site_first else r[a, :, b, :]
+                out = out + np.kron(e, dyn(block, n, N))
+        return out
+
+    lam = 0.61 - 0.27j
+    for N in range(1, 6):
+        params = random_params(N, seed=50 + N)
+        gauge = solve_gauge(params.boundary_plus, 1, 1, params.eta)
+        beta, alpha, eta, xi = gauge.beta, gauge.alpha, params.eta, params.xi
+        s = np.eye(2 ** N)
+        bulk = msos = mhat = np.eye(2 ** (N + 1))
+        for n in range(N, 0, -1):
+            bulk = bulk @ aux_dyn(lambda k: r6v(lam - xi[n - 1] - eta / 2, eta), n, N, False)
+            s = s @ dyn(lambda k: s_local(-xi[n - 1], beta + k, alpha, eta), n, N)
+            msos = msos @ aux_dyn(
+                lambda k: r_sos(lam - xi[n - 1] - eta / 2, beta + k, eta), n, N, True)
+        for n in range(1, N + 1):
+            mhat = mhat @ aux_dyn(
+                lambda k: r_sos(lam + xi[n - 1] - eta / 2, beta + k, eta), n, N, False)
+        assert rel_residual(bulk_monodromy(lam, params).full(), bulk) < 1e-12
+        assert rel_residual(s_chain(params, beta, alpha), s) < 1e-12
+        assert rel_residual(m_sos(lam, params, beta).full(), msos) < 1e-12
+        assert rel_residual(mhat_sos(lam, params, beta).full(), mhat) < 1e-12
 
 
 def test_m_sos_single_site():
@@ -115,12 +172,12 @@ def test_gauged_entries_linear_combinations(setup3):
     assert rel_residual(ut.B, utm.C) < 1e-13
 
 
-def test_boundary_bulk_decomposition(setup3):
-    params, gauge = setup3
+def test_boundary_bulk_decomposition(setup3, setup5):
     lam = 0.57 - 0.22j
-    u1 = u_sos(lam, params, gauge.beta, gauge)
-    u2 = u_sos_via_bulk(lam, params, gauge.beta, gauge)
-    assert rel_residual(u1.full(), u2.full()) < 1e-10
+    for params, gauge in (setup3, setup5):
+        u1 = u_sos(lam, params, gauge.beta, gauge)
+        u2 = u_sos_via_bulk(lam, params, gauge.beta, gauge)
+        assert rel_residual(u1.full(), u2.full()) < 1e-10
 
 
 def test_dynamical_reflection(setup3):

@@ -117,6 +117,13 @@ def test_cli_exit_codes(tmp_path):
                  "--config", str(cfg2)]) == 1
 
 
+def test_cli_homog_without_oracle_fails(capsys):
+    # no dense oracle past N = 3: every row is unchecked, which is no pass
+    code = main(["homog", "--sites", "4", "--seed", "13", "--epsilons", "1e-1"])
+    assert code == 1
+    assert "unchecked" in capsys.readouterr().err
+
+
 def test_cli_explicit_model(tmp_path):
     p = random_params(2, seed=5)
     cfg = tmp_path / "model.json"

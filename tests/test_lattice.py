@@ -102,9 +102,9 @@ def test_bulk_rtt_relation(params3):
     # RTT on aux1 x aux2 x H
     rng = rng_for(25, "rtt")
     lam, mu = rand_lam(rng), rand_lam(rng)
-    dim = 2 ** params3.N
 
     def emb(op, which):
+        dim = op.dim
         full = np.zeros((4 * dim, 4 * dim), dtype=complex)
         for a in range(2):
             for b in range(2):
@@ -114,10 +114,11 @@ def test_bulk_rtt_relation(params3):
                 full += np.kron(np.kron(*pair), op.blocks[a, b])
         return full
 
-    m1 = emb(bulk_monodromy(lam, params3), 1)
-    m2 = emb(bulk_monodromy(mu, params3), 2)
-    r = np.kron(r6v(lam - mu, params3.eta), np.eye(dim))
-    assert rel_residual(r @ m1 @ m2, m2 @ m1 @ r) < 1e-10
+    for params in (params3, random_params(5, seed=1)):
+        m1 = emb(bulk_monodromy(lam, params), 1)
+        m2 = emb(bulk_monodromy(mu, params), 2)
+        r = np.kron(r6v(lam - mu, params.eta), np.eye(2 ** params.N))
+        assert rel_residual(r @ m1 @ m2, m2 @ m1 @ r) < 1e-10
 
 
 def test_mhat_involution(params3):
