@@ -344,27 +344,24 @@ def btilde_from_entries(lam, params: ModelParams, beta, alpha) -> np.ndarray:
 # Verification of the dynamical reflection algebra (Appendix relations).
 # ---------------------------------------------------------------------------
 
+def _s_dyn(lam, beta, alpha, eta, site: int) -> np.ndarray:
+    """S(lam | beta + sigma^z of the other site) on site 1 or 2 of C^2 x C^2."""
+    out = np.zeros((4, 4), dtype=complex)
+    for s in range(2):
+        proj = np.zeros((2, 2), dtype=complex)
+        proj[s, s] = 1
+        s_loc = s_local(lam, beta + (1 - 2 * s), alpha, eta)
+        out += np.kron(s_loc, proj) if site == 1 else np.kron(proj, s_loc)
+    return out
+
+
 def vertex_irf_residual(lam, mu, beta, alpha, eta) -> float:
     """Local Vertex-IRF intertwining residual on C^2 x C^2."""
-    def s1_dyn(lamv, base):
-        out = np.zeros((4, 4), dtype=complex)
-        for s2 in range(2):
-            proj = np.zeros((2, 2), dtype=complex)
-            proj[s2, s2] = 1
-            out += np.kron(s_local(lamv, base + (1 - 2 * s2), alpha, eta), proj)
-        return out
-
-    def s2_dyn(muv, base):
-        out = np.zeros((4, 4), dtype=complex)
-        for s1 in range(2):
-            proj = np.zeros((2, 2), dtype=complex)
-            proj[s1, s1] = 1
-            out += np.kron(proj, s_local(muv, base + (1 - 2 * s1), alpha, eta))
-        return out
-
     from .lattice import r6v
-    lhs = r6v(lam - mu, eta) @ np.kron(s_local(lam, beta, alpha, eta), ID2) @ s2_dyn(mu, beta)
-    rhs = np.kron(ID2, s_local(mu, beta, alpha, eta)) @ s1_dyn(lam, beta) @ r_sos(lam - mu, beta, eta)
+    lhs = r6v(lam - mu, eta) @ np.kron(s_local(lam, beta, alpha, eta), ID2) \
+        @ _s_dyn(mu, beta, alpha, eta, 2)
+    rhs = np.kron(ID2, s_local(mu, beta, alpha, eta)) @ _s_dyn(lam, beta, alpha, eta, 1) \
+        @ r_sos(lam - mu, beta, eta)
     return rel_residual(lhs, rhs)
 
 
@@ -372,25 +369,11 @@ def vertex_irf2_residual(lam, mu, beta, alpha, eta) -> float:
     """Second form of the Vertex-IRF relation, with the permuted SOS matrix."""
     from .lattice import r6v
 
-    def s1_dyn(lamv, base):
-        out = np.zeros((4, 4), dtype=complex)
-        for s2 in range(2):
-            proj = np.zeros((2, 2), dtype=complex)
-            proj[s2, s2] = 1
-            out += np.kron(s_local(lamv, base + (1 - 2 * s2), alpha, eta), proj)
-        return out
-
-    def s2_dyn(muv, base):
-        out = np.zeros((4, 4), dtype=complex)
-        for s1 in range(2):
-            proj = np.zeros((2, 2), dtype=complex)
-            proj[s1, s1] = 1
-            out += np.kron(proj, s_local(muv, base + (1 - 2 * s1), alpha, eta))
-        return out
-
     r_sos21 = PERM4 @ r_sos(lam - mu, beta, eta) @ PERM4
-    lhs = r6v(lam - mu, eta) @ np.kron(ID2, s_local(-mu, beta, alpha, eta)) @ s1_dyn(-lam, beta)
-    rhs = np.kron(s_local(-lam, beta, alpha, eta), ID2) @ s2_dyn(-mu, beta) @ r_sos21
+    lhs = r6v(lam - mu, eta) @ np.kron(ID2, s_local(-mu, beta, alpha, eta)) \
+        @ _s_dyn(-lam, beta, alpha, eta, 1)
+    rhs = np.kron(s_local(-lam, beta, alpha, eta), ID2) @ _s_dyn(-mu, beta, alpha, eta, 2) \
+        @ r_sos21
     return rel_residual(lhs, rhs)
 
 

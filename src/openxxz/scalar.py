@@ -19,13 +19,13 @@ from .sov import (
     EpsChoice,
     SovBasis,
     a_eps_small,
-    all_h,
     big_a_eps,
     big_a_eps_logderiv,
     g_minus,
+    raw_states,
     sov_norm_const,
-    u_weight,
-    v_weight,
+    sov_state,
+    sov_weights,
 )
 from .detid import a_functional
 
@@ -49,34 +49,10 @@ def separate_state(spec: SeparateStateSpec, basis: SovBasis,
                    use_bis: bool = False) -> np.ndarray:
     """Assemble the 2^N-term separate state in the computational basis."""
     params, gauge = basis.params, basis.gauge
-    N = params.N
-    norm = sov_norm_const(params, gauge, spec.eps)
-    vec = np.zeros(2 ** N, dtype=complex)
-    if spec.side == "right":
-        for h in all_h(N):
-            w = np.prod([spec.poly(params.xi_shifted(n + 1, h[n])) for n in range(N)])
-            w *= np.exp(-sum(hj * xj for hj, xj in zip(h, params.xi)))
-            w *= vdm_hat([params.xi_shifted(n + 1, h[n]) for n in range(N)])
-            vec += w * basis.right_state(h, spec.eps)
-        return s_chain(params, gauge.beta, gauge.alpha) @ vec / norm
-    if not use_bis:
-        for h in all_h(N):
-            w = np.prod([(u_weight(n + 1, params) * v_weight(n + 1, spec.eps, params)) ** h[n]
-                         * spec.poly(params.xi_shifted(n + 1, h[n])) for n in range(N)])
-            w *= np.exp(-sum(hj * xj for hj, xj in zip(h, params.xi)))
-            w *= vdm_hat([params.xi_shifted(n + 1, h[n]) for n in range(N)])
-            vec += w * basis.left_state(h, spec.eps)
-    else:
-        v0 = vdm_hat([params.xi_shifted(n, 0) for n in range(1, N + 1)])
-        v1 = vdm_hat([params.xi_shifted(n, 1) for n in range(1, N + 1)])
-        for h in all_h(N):
-            w = np.prod([(-v_weight(n + 1, spec.eps, params)) ** h[n]
-                         * spec.poly(params.xi_shifted(n + 1, h[n])) for n in range(N)])
-            w *= np.exp(-sum(hj * xj for hj, xj in zip(h, params.xi)))
-            w *= vdm_hat([params.xi_shifted(n + 1, 1 - h[n]) for n in range(N)])
-            vec += w * basis.left_state(h, spec.eps)
-        vec *= v0 / v1
-    return np.linalg.solve(s_chain(params, gauge.beta, gauge.alpha).T, vec) / norm
+    qtab = [[spec.poly(params.xi_shifted(n, b)) for b in (0, 1)]
+            for n in range(1, params.N + 1)]
+    vec = sov_state(qtab, basis, spec.side, spec.eps, use_bis)
+    return vec / sov_norm_const(params, gauge, spec.eps)
 
 
 def sp_direct(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
@@ -91,24 +67,32 @@ def sp_direct(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
 # SoV dressed-Vandermonde determinant.
 # ---------------------------------------------------------------------------
 
-def sp_sov(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
-           params: ModelParams, gauge: GaugeParams) -> complex:
-    """Determinant with h-summed columns over the shifted grid."""
+def sov_matrix(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
+               params: ModelParams) -> np.ndarray:
+    """SoV determinant matrix of a pair: h-summed columns over the shifted grid."""
     N = params.N
-    eps, eps_p = q_spec.eps, p_spec.eps
-    norm = sov_norm_const(params, gauge, eps_p)
-    v0 = vdm_hat([params.xi_shifted(n, 0) for n in range(1, N + 1)])
-    v1 = vdm_hat([params.xi_shifted(n, 1) for n in range(1, N + 1)])
     mat = np.zeros((N, N), dtype=complex)
     for i in range(N):
         lam0 = params.xi[i] + params.eta / 2
-        ratio = a_eps_small(lam0, eps_p, params) / a_eps_small(lam0, eps.flipped(), params)
+        ratio = a_eps_small(lam0, p_spec.eps, params) \
+            / a_eps_small(lam0, q_spec.eps.flipped(), params)
         for j in range(N):
             for h in (0, 1):
                 w = (-ratio) ** h \
                     * p_spec.poly(params.xi_shifted(i + 1, h)) \
                     * q_spec.poly(params.xi_shifted(i + 1, h))
                 mat[i, j] += w * varsigma(params.xi_shifted(i + 1, 1 - h)) ** j
+    return mat
+
+
+def sp_sov(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
+           params: ModelParams, gauge: GaugeParams) -> complex:
+    """Determinant with h-summed columns over the shifted grid."""
+    N = params.N
+    norm = sov_norm_const(params, gauge, p_spec.eps)
+    v0 = vdm_hat([params.xi_shifted(n, 0) for n in range(1, N + 1)])
+    v1 = vdm_hat([params.xi_shifted(n, 1) for n in range(1, N + 1)])
+    mat = sov_matrix(q_spec, p_spec, params)
     return complex(det_scaled(mat) * v0 / (v1 * norm))
 
 
@@ -342,13 +326,6 @@ def _q_deriv(roots, k):
                                       for j, r in enumerate(roots) if j != k])
 
 
-def tau_from_q(lam, q_roots, eps: EpsChoice, params: ModelParams) -> complex:
-    eta = params.eta
-    return complex((big_a_eps(lam, eps, params) * _q_eval(q_roots, lam - eta)
-                    + big_a_eps(-lam, eps, params) * _q_eval(q_roots, lam + eta))
-                   / _q_eval(q_roots, lam))
-
-
 def slavnov_matrix(p_roots, q_roots, eps: EpsChoice, params: ModelParams) -> np.ndarray:
     """Jacobian d tau(p_j) / d q_k from the closed root-derivative formula.
 
@@ -537,7 +514,6 @@ def bethe_form_state(q_spec: SeparateStateSpec, basis: SovBasis) -> np.ndarray:
     degenerate to 0/0; the construction is only defined away from those zeros.
     """
     from .gauge import sos_block
-    from .trig import a_h as a_h_fn
 
     params, gauge = basis.params, basis.gauge
     N, eta = params.N, params.eta
@@ -549,29 +525,14 @@ def bethe_form_state(q_spec: SeparateStateSpec, basis: SovBasis) -> np.ndarray:
             if abs(bcoef_minus(lbl, gauge, params)) < 1e-10:
                 raise ValueError("dressed-B chain hits a zero of the reduced "
                                  "b coefficient; Bethe form undefined here")
-    norm = sov_norm_const(params, gauge, q_spec.eps)
-    dim = 2 ** N
-    a_norm, kfac = basis._scalings(q_spec.eps)
+    eps, side = q_spec.eps, q_spec.side
+    # reference at the shifted label, brought back by one dressed B per root
+    label = beta + 1 - 2 * m if side == "right" else beta - 1 + 2 * m
+    states = raw_states(params, gauge, side, label) * basis.scales(eps)[side][:, None]
+    w = sov_weights(np.ones((N, 2)), params, side, eps)
+    vec = w @ states / sov_norm_const(params, gauge, eps)
 
-    if q_spec.side == "right":
-        # reference at the lowered label, raised by one dressed B per root
-        label = beta + 1 - 2 * m
-        d_ops = [sos_block("D", params.xi[j] + eta / 2, label, params, gauge)
-                 for j in range(N)]
-        down = np.zeros(dim, dtype=complex)
-        down[-1] = 1.0
-        vec = np.zeros(dim, dtype=complex)
-        for h in all_h(N):
-            state = down.copy()
-            for j in range(N - 1, -1, -1):
-                if h[j] == 1:
-                    state = d_ops[j] @ state
-            scale = np.prod([1 / (kfac[j] * a_norm[j]) for j in range(N) if h[j] == 1]) \
-                if any(h) else 1.0
-            w = np.exp(-sum(hj * xj for hj, xj in zip(h, params.xi)))
-            w *= vdm_hat([params.xi_shifted(n + 1, h[n]) for n in range(N)])
-            vec += w * scale * state
-        vec /= norm
+    if side == "right":
         for i in range(m - 1, -1, -1):
             lam = roots[i]
             lbl = beta + 1 - 2 * (i + 1)
@@ -582,25 +543,6 @@ def bethe_form_state(q_spec: SeparateStateSpec, basis: SovBasis) -> np.ndarray:
             vec = coef * (b_op @ vec)
         return s_chain(params, gauge.beta, gauge.alpha) @ vec
 
-    label = beta - 1 + 2 * m
-    a_ops = [sos_block("A", eta / 2 - params.xi[j], label, params, gauge)
-             for j in range(N)]
-    up = np.zeros(dim, dtype=complex)
-    up[0] = 1.0
-    vec = np.zeros(dim, dtype=complex)
-    for h in all_h(N):
-        row = up.copy()
-        for j in range(N):
-            if h[j] == 0:
-                row = row @ a_ops[j]
-        scale = np.prod([1 / a_norm[j] for j in range(N) if h[j] == 0]) \
-            if not all(h) else 1.0
-        w = np.prod([(u_weight(n + 1, params) * v_weight(n + 1, q_spec.eps, params)) ** h[n]
-                     for n in range(N)])
-        w *= np.exp(-sum(hj * xj for hj, xj in zip(h, params.xi)))
-        w *= vdm_hat([params.xi_shifted(n + 1, h[n]) for n in range(N)])
-        vec += w * scale * row
-    vec /= norm
     for i in range(m - 1, -1, -1):
         lam = roots[i]
         lbl = beta - 1 + 2 * (i + 1)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .trig import ModelParams, bulk_ad, vdm_hat, varsigma
 from .lattice import qdet_k_minus, qdet_k_plus, qdet_m, qdet_u_minus
-from .gauge import GaugeParams, bcoef_minus, sos_block
+from .gauge import GaugeParams, bcoef_minus, s_chain, sos_block
 
 
 @dataclass(frozen=True)
@@ -165,76 +165,93 @@ def v_weight(n: int, eps: EpsChoice, params: ModelParams) -> complex:
     return a_eps_small(lam, eps, params) / a_eps_small(lam, eps.flipped(), params)
 
 
+def _bits(N: int) -> np.ndarray:
+    """The bit tuples of all_h as a (2^N, N) integer table."""
+    return np.array(all_h(N), dtype=int).reshape(-1, N)
+
+
+def _bit_products(factors, bits) -> np.ndarray:
+    """prod_j factors[j] ** bits[:, j] for each row of a 0/1 table."""
+    return np.prod(np.where(bits == 1, factors, 1), axis=1)
+
+
+def raw_states(params: ModelParams, gauge: GaugeParams, side: str, label) -> np.ndarray:
+    """Unnormalized SoV states at one dynamical label, one row per h of all_h.
+
+    Right: prod_{h_j = 1} D^SOS(xi_j + eta/2 | label) on the all-down state.
+    Left: the all-up row times prod_{h_j = 0} A^SOS(eta/2 - xi_j | label).
+    Both products run in site order; the rows double once per site.
+    """
+    N, eta = params.N, params.eta
+    dim = 2 ** N
+    states = np.zeros((1, dim), dtype=complex)
+    if side == "right":
+        states[0, -1] = 1.0
+        for j in range(N - 1, -1, -1):
+            op = sos_block("D", params.xi[j] + eta / 2, label, params, gauge)
+            states = np.concatenate([states, states @ op.T])
+        return states
+    states[0, 0] = 1.0
+    for j in range(N):
+        op = sos_block("A", eta / 2 - params.xi[j], label, params, gauge)
+        states = np.stack([states @ op, states], axis=1).reshape(-1, dim)
+    return states
+
+
 class SovBasis:
     """Left and right SoV bases for one (params, gauge) pair.
 
     Raw states are built once; the sign-branch dependence enters only through
-    scalar normalization factors, attached lazily per EpsChoice.
+    one scale per state and side, attached lazily per EpsChoice.
     """
 
     def __init__(self, params: ModelParams, gauge: GaugeParams, check: bool = True):
         self.params = params
         self.gauge = gauge
-        N = params.N
-        eta = params.eta
-        dim = 2 ** N
         if check and not params.is_generic():
             raise ValueError("inhomogeneities fail the genericity condition")
-
-        d_ops = [sos_block("D", params.xi[j] + eta / 2, gauge.beta + 1, params, gauge)
-                 for j in range(N)]
-        a_ops = [sos_block("A", eta / 2 - params.xi[j], gauge.beta - 1, params, gauge)
-                 for j in range(N)]
-
-        down = np.zeros(dim, dtype=complex)
-        down[dim - 1] = 1.0
-        up = np.zeros(dim, dtype=complex)
-        up[0] = 1.0
-
-        self._right_raw = np.zeros((dim, dim), dtype=complex)
-        self._left_raw = np.zeros((dim, dim), dtype=complex)
-        for h in all_h(N):
-            idx = h_index(h)
-            vec = down.copy()
-            for j in range(N - 1, -1, -1):
-                if h[j] == 1:
-                    vec = d_ops[j] @ vec
-            self._right_raw[idx] = vec
-            row = up.copy()
-            for j in range(N):
-                if h[j] == 0:
-                    row = row @ a_ops[j]
-            self._left_raw[idx] = row
-        self._scal_cache = {}
+        self._raw = {"right": raw_states(params, gauge, "right", gauge.beta + 1),
+                     "left": raw_states(params, gauge, "left", gauge.beta - 1)}
+        self._scale_cache = {}
 
     # -- per-branch scalings ------------------------------------------------
 
-    def _scalings(self, eps: EpsChoice):
-        if eps not in self._scal_cache:
+    def scales(self, eps: EpsChoice) -> dict:
+        """Scale of every raw state of each side ("right", "left") for eps.
+
+        A right state carries 1 / (k_j A_-(eta/2 - xi_j)) for each h_j = 1,
+        a left state 1 / A_-(eta/2 - xi_j) for each h_j = 0, where
+        k_j = sinh(2 xi_j + eta) / sinh(2 xi_j - eta).
+        """
+        if eps not in self._scale_cache:
             params, gauge = self.params, self.gauge
             eta = params.eta
-            a_norm = [a_minus_norm(eta / 2 - x, eps, gauge, params) for x in params.xi]
-            k = [np.sinh(2 * x + eta) / np.sinh(2 * x - eta) for x in params.xi]
-            self._scal_cache[eps] = (np.asarray(a_norm), np.asarray(k))
-        return self._scal_cache[eps]
+            xi = np.asarray(params.xi)
+            a_norm = np.array([a_minus_norm(eta / 2 - x, eps, gauge, params)
+                               for x in params.xi])
+            k = np.sinh(2 * xi + eta) / np.sinh(2 * xi - eta)
+            bits = _bits(params.N)
+            self._scale_cache[eps] = {"right": _bit_products(1 / (k * a_norm), bits),
+                                      "left": _bit_products(1 / a_norm, 1 - bits)}
+        return self._scale_cache[eps]
 
-    def right_state(self, h, eps: EpsChoice) -> np.ndarray:
-        a_norm, k = self._scalings(eps)
-        scale = np.prod([1 / (k[j] * a_norm[j]) for j in range(self.params.N)
-                         if h[j] == 1]) if any(h) else 1.0
-        return self._right_raw[h_index(h)] * scale
-
-    def left_state(self, h, eps: EpsChoice) -> np.ndarray:
-        a_norm, _ = self._scalings(eps)
-        scale = np.prod([1 / a_norm[j] for j in range(self.params.N)
-                         if h[j] == 0]) if not all(h) else 1.0
-        return self._left_raw[h_index(h)] * scale
+    def states(self, side: str, eps: EpsChoice) -> np.ndarray:
+        """All states of one side, one row per h of all_h."""
+        return self._raw[side] * self.scales(eps)[side][:, None]
 
     def right_states(self, eps: EpsChoice) -> np.ndarray:
-        return np.array([self.right_state(h, eps) for h in all_h(self.params.N)])
+        return self.states("right", eps)
 
     def left_states(self, eps: EpsChoice) -> np.ndarray:
-        return np.array([self.left_state(h, eps) for h in all_h(self.params.N)])
+        return self.states("left", eps)
+
+    def right_state(self, h, eps: EpsChoice) -> np.ndarray:
+        i = h_index(h)
+        return self._raw["right"][i] * self.scales(eps)["right"][i]
+
+    def left_state(self, h, eps: EpsChoice) -> np.ndarray:
+        i = h_index(h)
+        return self._raw["left"][i] * self.scales(eps)["left"][i]
 
     def norm_const(self, eps: EpsChoice) -> complex:
         return sov_norm_const(self.params, self.gauge, eps)
@@ -246,6 +263,62 @@ class SovBasis:
         v0 = vdm_hat([params.xi_shifted(n, 0) for n in range(1, params.N + 1)])
         h0 = tuple([0] * params.N)
         return complex(v0 * self.left_state(h0, eps)[dim - 1])
+
+
+def _vdm_hat_rows(x) -> np.ndarray:
+    """vdm_hat of every row of x, in the same factor form."""
+    j, k = np.triu_indices(x.shape[1], 1)
+    return np.prod(np.sinh(x[:, k] - x[:, j]) * np.sinh(x[:, k] + x[:, j]), axis=1)
+
+
+def sov_weights(qtab, params: ModelParams, side: str = "right",
+                eps: EpsChoice | None = None, bis: bool = False) -> np.ndarray:
+    """Weights of the h-sum of an SoV state, one per h of all_h.
+
+    qtab[n - 1, b] holds Q(xi_n^(b)) on the shifted grid.  A weight is
+    prod_n Q(xi_n^(h_n)) e^{-sum_n h_n xi_n} Vhat(xi^(h)); on the left side it
+    also carries prod_n (u_n v_n)^(h_n).  The second left form (bis) carries
+    prod_n (-v_n)^(h_n) and Vhat(xi^(1-h)) Vhat(xi^(0)) / Vhat(xi^(1)) instead.
+    """
+    N, eta = params.N, params.eta
+    xi = np.asarray(params.xi)
+    bits = _bits(N)
+    vdm = _vdm_hat_rows(xi + eta / 2 - bits * eta)
+    w = np.prod(np.asarray(qtab)[np.arange(N), bits], axis=1) * np.exp(-(bits @ xi))
+    if side == "right":
+        return w * vdm
+    v = np.array([v_weight(n, eps, params) for n in range(1, N + 1)])
+    if bis:
+        # flipping every bit reverses the order of all_h
+        return w * _bit_products(-v, bits) * vdm[::-1] * vdm[0] / vdm[-1]
+    u = np.array([u_weight(n, params) for n in range(1, N + 1)])
+    return w * _bit_products(u * v, bits) * vdm
+
+
+def resolution_weights(params: ModelParams) -> np.ndarray:
+    """Weights e^{-2 sum h xi} Vhat(xi^(h)) of the identity resolution.
+
+    The second e^{-sum h xi} enters as the table Q(xi_n^(0)) = 1,
+    Q(xi_n^(1)) = e^{-xi_n}.  The Gram diagonal <h|h> is the norm constant
+    over these weights.
+    """
+    xi = np.asarray(params.xi)
+    return sov_weights(np.stack([np.ones_like(xi), np.exp(-xi)], axis=1), params)
+
+
+def sov_state(qtab, basis: SovBasis, side: str, eps: EpsChoice,
+              bis: bool = False) -> np.ndarray:
+    """The weighted h-sum of basis states (see sov_weights), ungauged.
+
+    A right state comes back as S |.>, a left one as <.| S^{-1}, with S the
+    chain gauge.
+    """
+    params, gauge = basis.params, basis.gauge
+    vec = sov_weights(qtab, params, side, eps, bis) @ basis.states(side, eps)
+    s = s_chain(params, gauge.beta, gauge.alpha)
+    if side == "right":
+        return s @ vec
+    return np.linalg.solve(s.T, vec)  # row vector times S^{-1}
 
 
 def sov_norm_const(params: ModelParams, gauge: GaugeParams, eps: EpsChoice) -> complex:
@@ -292,16 +365,10 @@ def gram_matrix(basis: SovBasis, eps: EpsChoice) -> np.ndarray:
 
 
 def identity_resolution_residual(basis: SovBasis, eps: EpsChoice) -> float:
-    params = basis.params
-    N = params.N
-    dim = 2 ** N
-    norm = basis.norm_const(eps)
-    acc = np.zeros((dim, dim), dtype=complex)
-    for h in all_h(N):
-        w = np.exp(-2 * sum(hj * xj for hj, xj in zip(h, params.xi)))
-        v = vdm_hat([params.xi_shifted(n + 1, h[n]) for n in range(N)])
-        acc += w * v * np.outer(basis.right_state(h, eps), basis.left_state(h, eps))
-    acc /= norm
+    dim = 2 ** basis.params.N
+    w = resolution_weights(basis.params)
+    acc = basis.right_states(eps).T @ (w[:, None] * basis.left_states(eps))
+    acc /= basis.norm_const(eps)
     return float(np.linalg.norm(acc - np.eye(dim)) / np.sqrt(dim))
 
 
@@ -309,133 +376,75 @@ def identity_resolution_residual(basis: SovBasis, eps: EpsChoice) -> float:
 # Action formulas of the gauged operators on the SoV states.
 # ---------------------------------------------------------------------------
 
-def _flip(h, n: int, delta: int):
-    out = list(h)
-    out[n - 1] += delta
-    if out[n - 1] in (0, 1):
-        return tuple(out)
-    return None
+def act_interpolated(lam, basis: SovBasis, eps: EpsChoice, side: str) -> np.ndarray:
+    """Interpolation formula for the gauged actions on every SoV state.
 
+    Row h is <beta-1,h| A^SOS(lam | beta-1) on the left side and
+    D^SOS(lam | beta+1) |h,beta+1> on the right side: a combination of state
+    h and the N states with one bit of h flipped.
+    """
+    params, gauge = basis.params, basis.gauge
+    N, eta = params.N, params.eta
+    bm = params.boundary_minus
+    bits = _bits(N)
+    sgn = 1 - 2 * bits  # the flip raises a 0 bit and lowers a 1 bit
+    xi = np.asarray(params.xi)
+    x = xi + eta / 2 - bits * eta
+    s2 = np.sinh(x) ** 2
+    lam_s2 = np.sinh(lam) ** 2 - s2
+    full = np.prod(lam_s2, axis=1)
+    prod0 = np.prod(np.sinh(eta / 2) ** 2 - s2, axis=1)
+    prod1 = np.prod(np.cosh(eta / 2) ** 2 + s2, axis=1)
+    others = np.empty_like(x)
+    denom = np.empty_like(x)
+    for n in range(N):
+        rest = np.arange(N) != n
+        others[:, n] = np.prod(lam_s2[:, rest], axis=1)
+        denom[:, n] = np.prod(s2[:, [n]] - s2[:, rest], axis=1)
 
-def _interp_shared_terms(lam, h, params: ModelParams):
-    """Shared identity-coefficient of the interpolated A/D actions."""
-    eta = params.eta
-    sm = params.boundary_minus.sigma
-    sl2 = np.sinh(lam) ** 2
-    prod0 = np.prod([np.sinh(eta / 2) ** 2 - np.sinh(params.xi_shifted(n + 1, h[n])) ** 2
-                     for n in range(params.N)])
-    prod1 = np.prod([np.cosh(eta / 2) ** 2 + np.sinh(params.xi_shifted(n + 1, h[n])) ** 2
-                     for n in range(params.N)])
-    full = np.prod([sl2 - np.sinh(params.xi_shifted(n + 1, h[n])) ** 2
-                    for n in range(params.N)])
+    # the flip weight of site n, for h_n = 0 and h_n = 1
+    a_up = np.array([a_minus_norm(v, eps, gauge, params) for v in x[0]])
+    a_dn = np.array([a_minus_norm(-v, eps, gauge, params) for v in x[-1]])
+    if side == "left":
+        table, label, sign = np.stack([a_up, a_dn], axis=1), gauge.beta - 1, -1
+    else:
+        k = np.sinh(2 * xi + eta) / np.sinh(2 * xi - eta)
+        table, label, sign = np.stack([k * a_dn, a_up / k], axis=1), gauge.beta + 1, 1
+    base = table[np.arange(N), bits] / (np.sinh(2 * x - sgn * eta) * np.sinh(2 * x) * denom)
+    coef = np.sinh(2 * lam - eta) * np.sinh(lam + sgn * x) * others * base
+    hop_coef = np.exp(eta / 2 - sgn * x) * base
+
     # the second value term carries a minus sign: with the gauge matrix as
     # defined, S_0^{-1}(-i pi/2) sigma^z S_0(i pi/2) = -Id, so the gauged
     # operator at eta/2 + i pi/2 equals -i coth(sigma_-) det_q M(i pi/2).
-    term = (-1) ** params.N * (
-        qdet_m(0, params) * np.cosh(lam - eta / 2) * full / prod0
-        - qdet_m(1j * np.pi / 2, params) / np.tanh(sm) * np.sinh(lam - eta / 2) * full / prod1)
-    return term, full, prod0, prod1
-
-
-def act_a_left_interpolated(lam, h, basis: SovBasis, eps: EpsChoice) -> np.ndarray:
-    """Interpolation formula for <beta-1,h| A^SOS(lam | beta-1)."""
-    params, gauge = basis.params, basis.gauge
-    N, eta = params.N, params.eta
-    beta = gauge.beta
-    bm = params.boundary_minus
-
-    def a_norm(x):
-        return a_minus_norm(x, eps, gauge, params)
-
-    out = np.zeros(2 ** N, dtype=complex)
-    term_id, full, prod0, prod1 = _interp_shared_terms(lam, h, params)
-    out += term_id * basis.left_state(h, eps)
-
-    hop = np.zeros(2 ** N, dtype=complex)
-    for n in range(1, N + 1):
-        xnh = params.xi_shifted(n, h[n - 1])
-        others = np.prod([np.sinh(lam) ** 2 - np.sinh(params.xi_shifted(j + 1, h[j])) ** 2
-                          for j in range(N) if j != n - 1]) if N > 1 else 1.0
-        denom = np.prod([np.sinh(xnh) ** 2 - np.sinh(params.xi_shifted(j + 1, h[j])) ** 2
-                         for j in range(N) if j != n - 1]) if N > 1 else 1.0
-        for sgn, delta in ((1, +1), (-1, -1)):
-            target = _flip(h, n, delta)
-            if target is None:
-                continue
-            coef = np.sinh(2 * lam - eta) * np.sinh(lam + sgn * xnh) \
-                / (np.sinh(2 * xnh - sgn * eta) * np.sinh(2 * xnh)) \
-                * others / denom * a_norm(sgn * xnh)
-            out += coef * basis.left_state(target, eps)
-            hop_coef = np.exp(eta / 2 - sgn * xnh) \
-                / (np.sinh(2 * xnh - sgn * eta) * np.sinh(2 * xnh)) \
-                * a_norm(sgn * xnh) / denom
-            hop += hop_coef * basis.left_state(target, eps)
-
-    # asymptotic operator contribution
-    pref_inf = -np.exp(-3 * eta / 2 - eta * (beta - 1)) \
-        / (2 ** (2 * N + 1) * np.sinh(eta * (beta - 1)))
-    bracket = bm.kappa * np.exp(eta * (beta - 1)) \
+    q0 = (-1) ** N * qdet_m(0, params)
+    q1 = (-1) ** N * qdet_m(1j * np.pi / 2, params) / np.tanh(bm.sigma)
+    term_id = q0 * np.cosh(lam - eta / 2) * full / prod0 \
+        - q1 * np.sinh(lam - eta / 2) * full / prod1
+    # asymptotic operator contribution (its 2^(2N+1) scale cancels)
+    c_inf = sign * np.exp(-3 * eta / 2 + sign * eta * label) / np.sinh(eta * label) \
+        * np.exp(lam + eta) * np.sinh(2 * lam - eta) * full
+    bracket = bm.kappa * np.exp(-sign * eta * label) \
         * np.sinh(eta * gauge.alpha + bm.tau) / np.sinh(bm.sigma) \
-        + (-1) ** N * qdet_m(0, params) / (2 * prod0) \
-        + (-1) ** N * qdet_m(1j * np.pi / 2, params) / (np.tanh(bm.sigma) * 2 * prod1)
-    a_inf = pref_inf * (bracket * basis.left_state(h, eps) + hop)
-    out += 2 ** (2 * N + 1) * np.exp(lam + eta) * np.sinh(2 * lam - eta) * full * a_inf
-    return out
+        + q0 / (2 * prod0) + q1 / (2 * prod1)
+
+    states = basis.states(side, eps)
+    flipped = states[np.arange(2 ** N)[:, None] ^ (1 << np.arange(N - 1, -1, -1))]
+    return (term_id + c_inf * bracket)[:, None] * states \
+        + np.einsum("hn,hnd->hd", coef + c_inf[:, None] * hop_coef, flipped)
 
 
-def act_d_right_interpolated(lam, h, basis: SovBasis, eps: EpsChoice) -> np.ndarray:
-    """Interpolation formula for D^SOS(lam | beta+1) |h,beta+1>."""
-    params, gauge = basis.params, basis.gauge
-    N, eta = params.N, params.eta
-    beta = gauge.beta
-    bm = params.boundary_minus
-
-    def a_norm(x):
-        return a_minus_norm(x, eps, gauge, params)
-
-    def k_pow(n, sgn):
-        return (np.sinh(2 * params.xi[n - 1] + eta)
-                / np.sinh(2 * params.xi[n - 1] - eta)) ** sgn
-
-    out = np.zeros(2 ** N, dtype=complex)
-    term_id, full, prod0, prod1 = _interp_shared_terms(lam, h, params)
-    out += term_id * basis.right_state(h, eps)
-
-    hop = np.zeros(2 ** N, dtype=complex)
-    for n in range(1, N + 1):
-        xnh = params.xi_shifted(n, h[n - 1])
-        others = np.prod([np.sinh(lam) ** 2 - np.sinh(params.xi_shifted(j + 1, h[j])) ** 2
-                          for j in range(N) if j != n - 1]) if N > 1 else 1.0
-        denom = np.prod([np.sinh(xnh) ** 2 - np.sinh(params.xi_shifted(j + 1, h[j])) ** 2
-                         for j in range(N) if j != n - 1]) if N > 1 else 1.0
-        for sgn, delta in ((1, +1), (-1, -1)):
-            target = _flip(h, n, delta)
-            if target is None:
-                continue
-            weight = k_pow(n, sgn) * a_norm(-sgn * params.xi_shifted(n, 1 - h[n - 1]))
-            coef = np.sinh(2 * lam - eta) * np.sinh(lam + sgn * xnh) \
-                / (np.sinh(2 * xnh - sgn * eta) * np.sinh(2 * xnh)) \
-                * others / denom * weight
-            out += coef * basis.right_state(target, eps)
-            hop_coef = np.exp(eta / 2 - sgn * xnh) \
-                / (np.sinh(2 * xnh - sgn * eta) * np.sinh(2 * xnh)) * weight / denom
-            hop += hop_coef * basis.right_state(target, eps)
-
-    pref_inf = np.exp(-3 * eta / 2 + eta * (beta + 1)) \
-        / (2 ** (2 * N + 1) * np.sinh(eta * (beta + 1)))
-    bracket = bm.kappa * np.exp(-eta * (beta + 1)) \
-        * np.sinh(eta * gauge.alpha + bm.tau) / np.sinh(bm.sigma) \
-        + (-1) ** N * qdet_m(0, params) / (2 * prod0) \
-        + (-1) ** N * qdet_m(1j * np.pi / 2, params) / (np.tanh(bm.sigma) * 2 * prod1)
-    d_inf = pref_inf * (bracket * basis.right_state(h, eps) + hop)
-    out += 2 ** (2 * N + 1) * np.exp(lam + eta) * np.sinh(2 * lam - eta) * full * d_inf
-    return out
+def _max_row_residual(lhs, rhs) -> float:
+    """The largest rel_residual between matching rows of lhs and rhs."""
+    diff = np.linalg.norm(lhs - rhs, axis=1)
+    scale = np.maximum(np.maximum(np.linalg.norm(lhs, axis=1),
+                                  np.linalg.norm(rhs, axis=1)), 1e-300)
+    return float(np.max(diff / scale))
 
 
 def verify_sov_actions(basis: SovBasis, eps: EpsChoice, seed: int = 0):
     """Residuals of the B pseudo-eigenstate relations and interpolated actions."""
-    from .trig import rng_for, a_h as a_h_fn
-    from .lattice import rel_residual
+    from .trig import rng_for
 
     params, gauge = basis.params, basis.gauge
     N, eta = params.N, params.eta
@@ -443,78 +452,30 @@ def verify_sov_actions(basis: SovBasis, eps: EpsChoice, seed: int = 0):
     rng = rng_for(seed, "sov-actions")
     lam = complex(rng.uniform(0.2, 1.1), rng.uniform(-0.4, 0.4))
     out = []
+    scales = basis.scales(eps)
+    # a_h(lam, h) a_h(-lam, h) for every h
+    shifted = np.asarray(params.xi) + eta / 2 - _bits(N) * eta
+    a_pair = np.prod(np.sinh(lam - shifted) * np.sinh(-lam - shifted), axis=1)
+    blam = np.exp(lam - eta / 2) * np.sinh(2 * lam - eta)
 
-    # raw-normalization right states at label beta-1 for the act-BR check
-    dim = 2 ** N
-    d_ops_m = [sos_block("D", params.xi[j] + eta / 2, gauge.beta - 1, params, gauge)
-               for j in range(N)]
-    down = np.zeros(dim, dtype=complex)
-    down[-1] = 1.0
-    a_norm, k = basis._scalings(eps)
-
-    def right_state_at(h, label_ops):
-        vec = down.copy()
-        for j in range(N - 1, -1, -1):
-            if h[j] == 1:
-                vec = label_ops[j] @ vec
-        scale = np.prod([1 / (k[j] * a_norm[j]) for j in range(N) if h[j] == 1]) \
-            if any(h) else 1.0
-        return vec * scale
-
-    b_op_m = sos_block("B", lam, beta - 1, params, gauge)
-    res_br = 0.0
-    for h in all_h(N):
-        lhs = b_op_m @ right_state_at(h, d_ops_m)
-        blam = np.exp(lam - eta / 2) * np.sinh(2 * lam - eta) \
-            * bcoef_minus(beta - N - 1, gauge, params)
-        coef = (-1) ** N * a_h_fn(lam, h, params) * a_h_fn(-lam, h, params) \
-            * blam * np.sinh(eta * (beta - N - 1)) / np.sinh(eta * (beta - 1))
-        rhs = coef * basis.right_state(h, eps)
-        res_br = max(res_br, rel_residual(lhs, rhs))
-    out.append(("act-BR", res_br))
+    # right states at label beta-1 for the act-BR check
+    rights_m = raw_states(params, gauge, "right", beta - 1) * scales["right"][:, None]
+    lhs = rights_m @ sos_block("B", lam, beta - 1, params, gauge).T
+    coef = (-1) ** N * a_pair * blam * bcoef_minus(beta - N - 1, gauge, params) \
+        * np.sinh(eta * (beta - N - 1)) / np.sinh(eta * (beta - 1))
+    out.append(("act-BR", _max_row_residual(lhs, coef[:, None] * basis.right_states(eps))))
 
     # left states at label beta+1 for the act-BL check
-    a_ops_p = [sos_block("A", eta / 2 - params.xi[j], gauge.beta + 1, params, gauge)
-               for j in range(N)]
-    up = np.zeros(dim, dtype=complex)
-    up[0] = 1.0
-
-    def left_state_at(h, label_ops):
-        row = up.copy()
-        for j in range(N):
-            if h[j] == 0:
-                row = row @ label_ops[j]
-        scale = np.prod([1 / a_norm[j] for j in range(N) if h[j] == 0]) \
-            if not all(h) else 1.0
-        return row * scale
-
-    b_op_p = sos_block("B", lam, beta + 1, params, gauge)
-    res_bl = 0.0
-    for h in all_h(N):
-        lhs = left_state_at(h, a_ops_p) @ b_op_p
-        blam = np.exp(lam - eta / 2) * np.sinh(2 * lam - eta) \
-            * bcoef_minus(beta + N + 1, gauge, params)
-        coef = (-1) ** N * a_h_fn(lam, h, params) * a_h_fn(-lam, h, params) \
-            * blam * np.sinh(eta * beta) / np.sinh(eta * (beta + N))
-        rhs = coef * basis.left_state(h, eps)
-        res_bl = max(res_bl, rel_residual(lhs, rhs))
-    out.append(("act-BL", res_bl))
+    lefts_p = raw_states(params, gauge, "left", beta + 1) * scales["left"][:, None]
+    lhs = lefts_p @ sos_block("B", lam, beta + 1, params, gauge)
+    coef = (-1) ** N * a_pair * blam * bcoef_minus(beta + N + 1, gauge, params) \
+        * np.sinh(eta * beta) / np.sinh(eta * (beta + N))
+    out.append(("act-BL", _max_row_residual(lhs, coef[:, None] * basis.left_states(eps))))
 
     # interpolated A (left) and D (right) actions against dense application
-    a_dense = sos_block("A", lam, beta - 1, params, gauge)
-    res = 0.0
-    for h in all_h(N):
-        lhs = basis.left_state(h, eps) @ a_dense
-        rhs = act_a_left_interpolated(lam, h, basis, eps)
-        res = max(res, rel_residual(lhs, rhs))
-    out.append(("act-AL", res))
-
-    d_dense = sos_block("D", lam, beta + 1, params, gauge)
-    res = 0.0
-    for h in all_h(N):
-        lhs = d_dense @ basis.right_state(h, eps)
-        rhs = act_d_right_interpolated(lam, h, basis, eps)
-        res = max(res, rel_residual(lhs, rhs))
-    out.append(("act-DR", res))
+    lhs = basis.left_states(eps) @ sos_block("A", lam, beta - 1, params, gauge)
+    out.append(("act-AL", _max_row_residual(lhs, act_interpolated(lam, basis, eps, "left"))))
+    lhs = basis.right_states(eps) @ sos_block("D", lam, beta + 1, params, gauge).T
+    out.append(("act-DR", _max_row_residual(lhs, act_interpolated(lam, basis, eps, "right"))))
 
     return out

@@ -18,11 +18,10 @@ from .trig import (
     bulk_ad,
     canonical_root,
     varsigma,
-    vdm_hat,
 )
 from .lattice import transfer, qdet_k_plus, qdet_u_minus
-from .gauge import GaugeParams, s_chain
-from .sov import EpsChoice, SovBasis, all_h, big_a_eps, u_weight, v_weight
+from .gauge import GaugeParams
+from .sov import EpsChoice, SovBasis, big_a_eps, sov_state
 
 # deterministic generic evaluation point for the one-shot diagonalization
 LAMBDA_STAR = 0.4371 + 0.2193j
@@ -170,24 +169,8 @@ def sov_eigenvector(tau: TauPoly, params: ModelParams, gauge: GaugeParams,
         basis = SovBasis(params, gauge)
     if qvals is None:
         qvals = q_discrete(tau, params, eps)
-    N = params.N
-    dim = 2 ** N
-    vec = np.zeros(dim, dtype=complex)
-    for h in all_h(N):
-        w = np.prod([qvals[(n + 1, h[n])] for n in range(N)])
-        w *= np.exp(-sum(hj * xj for hj, xj in zip(h, params.xi)))
-        w *= vdm_hat([params.xi_shifted(n + 1, h[n]) for n in range(N)])
-        if side == "right":
-            vec += w * basis.right_state(h, eps)
-        else:
-            w *= np.prod([(u_weight(n + 1, params) * v_weight(n + 1, eps, params)) ** h[n]
-                          for n in range(N)])
-            vec += w * basis.left_state(h, eps)
-    s = s_chain(params, gauge.beta, gauge.alpha)
-    if side == "right":
-        out = s @ vec
-    else:
-        out = np.linalg.solve(s.T, vec)  # row vector times S^{-1}
+    qtab = [[qvals[(n, b)] for b in (0, 1)] for n in range(1, params.N + 1)]
+    out = sov_state(qtab, basis, side, eps)
     if np.max(np.abs(out)) < 1e-13:
         raise ValueError("zero SoV eigenvector: inadmissible tau")
     return out

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .trig import ModelParams, TrigPoly, random_params, rng_for, varsigma, vdm_hat
+from .trig import ModelParams, TrigPoly, random_params, rng_for
 from .lattice import (
     kmat_plus,
     qdet_m,
@@ -41,10 +41,9 @@ from .sov import (
     ADMISSIBLE_EPS,
     EpsChoice,
     SovBasis,
-    all_h,
     gram_matrix,
-    h_index,
     identity_resolution_residual,
+    resolution_weights,
     verify_sov_actions,
 )
 from .spectrum import (
@@ -66,6 +65,7 @@ from .scalar import (
     sp_direct,
     sp_slavnov,
     sp_slavnov_gen,
+    sov_matrix,
     sp_sov,
     sp_thm52,
 )
@@ -279,26 +279,18 @@ def suite_sovbasis(config: RunConfig) -> list:
     params, gauge = _setup(config)
     rec = _Recorder("sovbasis", config.seed, params, config.tol("sovbasis"))
     basis = SovBasis(params, gauge)
-    N = params.N
 
     for eps in config.eps_choices:
         tag = f"eps{eps.a_plus}{eps.a_minus}{eps.b_plus}{eps.b_minus}"
 
         def orthogonality(eps=eps):
             g = gram_matrix(basis, eps)
-            norm = basis.norm_const(eps)
+            expect = basis.norm_const(eps) / resolution_weights(params)
             ln = np.linalg.norm(basis.left_states(eps), axis=1)
             rn = np.linalg.norm(basis.right_states(eps), axis=1)
-            worst = 0.0
-            for h in all_h(N):
-                i = h_index(h)
-                expect = norm * np.exp(2 * sum(hj * xj for hj, xj in zip(h, params.xi))) \
-                    / vdm_hat([params.xi_shifted(n + 1, h[n]) for n in range(N)])
-                worst = max(worst, abs(g[i, i] - expect) / abs(expect))
-                for j in range(2 ** N):
-                    if j != i:
-                        worst = max(worst, abs(g[i, j]) / (ln[i] * rn[j]))
-            return worst
+            diag = np.abs(np.diag(g) - expect) / np.abs(expect)
+            off = np.abs(g - np.diag(np.diag(g))) / np.outer(ln, rn)
+            return float(max(np.max(diag), np.max(off)))
         rec.guard(f"orthogonality-{tag}", orthogonality)
 
         rec.guard(f"norm-dense-{tag}", lambda eps=eps: abs(
@@ -507,7 +499,6 @@ def homog_sweep(config: RunConfig, epsilons=(1e-1, 1e-2, 1e-3)):
     raw SoV determinant matrix.
     """
     from .mpref import sp_direct_mp
-    from .sov import a_eps_small
 
     base = config.model()
     gauge = solve_gauge(base.boundary_plus, 1, 1, base.eta)
@@ -529,16 +520,7 @@ def homog_sweep(config: RunConfig, epsilons=(1e-1, 1e-2, 1e-3)):
         oracle = sp_direct_mp(qs, ps, params, gauge) if N <= 3 else None
 
         # conditioning of the raw SoV determinant matrix
-        mat = np.zeros((N, N), dtype=complex)
-        for i in range(N):
-            lam0 = params.xi[i] + params.eta / 2
-            ratio = a_eps_small(lam0, e0, params) / a_eps_small(lam0, e0.flipped(), params)
-            for j in range(N):
-                for h in (0, 1):
-                    w = (-ratio) ** h * p(params.xi_shifted(i + 1, h)) \
-                        * q(params.xi_shifted(i + 1, h))
-                    mat[i, j] += w * varsigma(params.xi_shifted(i + 1, 1 - h)) ** j
-        cond = float(np.linalg.cond(mat))
+        cond = float(np.linalg.cond(sov_matrix(qs, ps, params)))
         rel = abs(t_val - oracle) / abs(oracle) if oracle is not None else float("nan")
         rows.append({"epsilon": float(epsv), "value": t_val, "rel_diff": rel,
                      "sov_conditioning": cond, "flagged": flagged})

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from openxxz.trig import random_params, vdm_hat
+from openxxz.trig import TrigPoly, random_params, vdm_hat
 from openxxz.lattice import qdet_k_minus, qdet_k_plus, qdet_u_minus
 from openxxz.gauge import solve_gauge, sos_block, ad_plus
 from openxxz.sov import (
@@ -19,6 +19,7 @@ from openxxz.sov import (
     h_index,
     identity_resolution_residual,
     sov_norm_const,
+    sov_weights,
     u_weight,
     u_weight_product_form,
     v_weight,
@@ -223,6 +224,63 @@ def test_actions_various_N():
         basis = SovBasis(params, gauge)
         for name, res in verify_sov_actions(basis, EpsChoice(1, -1, -1, 1), seed=4):
             assert res < 1e-8, f"N={N} {name}: {res}"
+
+
+def test_sov_weights_and_states_match_per_h_formulas():
+    poly = TrigPoly(roots=(0.7 + 0.4j, 1.1 - 0.3j))
+    for N in range(1, 7):
+        generic = random_params(N, seed=2)
+        near_hom = generic.with_xi(tuple(1e-3 * (j + 1) for j in range(N)))
+        for params in (generic, near_hom):
+            grid = [[params.xi_shifted(n, b) for b in (0, 1)] for n in range(1, N + 1)]
+            qtab = [[poly(x) for x in row] for row in grid]
+            uv = [u_weight(n, params) * v_weight(n, EPS0, params) for n in range(1, N + 1)]
+            v = [v_weight(n, EPS0, params) for n in range(1, N + 1)]
+            v01 = vdm_hat([row[0] for row in grid]) / vdm_hat([row[1] for row in grid])
+            right = sov_weights(qtab, params, "right")
+            left = sov_weights(qtab, params, "left", EPS0)
+            bis = sov_weights(qtab, params, "left", EPS0, bis=True)
+            for h in all_h(N):
+                i = h_index(h)
+                w = np.prod([qtab[n][h[n]] for n in range(N)]) \
+                    * np.exp(-sum(hj * xj for hj, xj in zip(h, params.xi)))
+                vh = vdm_hat([grid[n][h[n]] for n in range(N)])
+                v_flip = vdm_hat([grid[n][1 - h[n]] for n in range(N)])
+                assert right[i] == pytest.approx(w * vh, rel=1e-12)
+                assert left[i] == pytest.approx(
+                    w * vh * np.prod([uv[n] ** h[n] for n in range(N)]), rel=1e-12)
+                assert bis[i] == pytest.approx(
+                    w * v_flip * v01 * np.prod([(-v[n]) ** h[n] for n in range(N)]),
+                    rel=1e-12)
+
+    # states: the operator products on the reference states times their scales
+    params = random_params(4, seed=3)
+    gauge = solve_gauge(params.boundary_plus, 1, 1, params.eta)
+    basis = SovBasis(params, gauge)
+    eta = params.eta
+    d_ops = [sos_block("D", x + eta / 2, gauge.beta + 1, params, gauge) for x in params.xi]
+    a_ops = [sos_block("A", eta / 2 - x, gauge.beta - 1, params, gauge) for x in params.xi]
+    for eps in ADMISSIBLE_EPS[:2]:
+        a_norm = [a_minus_norm(eta / 2 - x, eps, gauge, params) for x in params.xi]
+        k = [np.sinh(2 * x + eta) / np.sinh(2 * x - eta) for x in params.xi]
+        for h in all_h(4):
+            right = np.eye(16)[15].astype(complex)
+            left = np.eye(16)[0].astype(complex)
+            for j in range(4):
+                if h[j] == 1:
+                    right = right / (k[j] * a_norm[j])
+                else:
+                    left = left / a_norm[j]
+            for j in range(3, -1, -1):
+                if h[j] == 1:
+                    right = d_ops[j] @ right
+            for j in range(4):
+                if h[j] == 0:
+                    left = left @ a_ops[j]
+            scale = np.max(np.abs(right))
+            assert np.max(np.abs(basis.right_state(h, eps) - right)) < 1e-12 * scale
+            scale = np.max(np.abs(left))
+            assert np.max(np.abs(basis.left_state(h, eps) - left)) < 1e-12 * scale
 
 
 def test_prop_states_rescaling(setup3):
