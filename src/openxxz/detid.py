@@ -16,10 +16,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .trig import canonical_root, varsigma, vdm_hat
+from .trig import TrigPoly, canonical_root, varsigma, vdm_hat
 from .lattice import det_scaled
 
 Poly = np.polynomial.polynomial
+
+
+def functional_matrix(zs, fz, fmz, gz, eta) -> np.ndarray:
+    """Matrix of the functional from the values f(z_i), f(-z_i) and g(z_i).
+
+    Entry (i, j) is f(z_i) vs(z_i + eta/2)^j + f(-z_i) vs(z_i - eta/2)^j, and
+    g(z_i) is added to the last column.  The dtype follows the inputs.
+    """
+    zs = np.asarray(zs)
+    powers = np.arange(len(zs))
+    vp = varsigma(zs + eta / 2)[:, None] ** powers
+    vm = varsigma(zs - eta / 2)[:, None] ** powers
+    mat = np.asarray(fz)[:, None] * vp + np.asarray(fmz)[:, None] * vm
+    mat[:, -1] += gz
+    return mat
 
 
 def a_functional(zs, f, eta, g=None) -> complex:
@@ -29,17 +44,10 @@ def a_functional(zs, f, eta, g=None) -> complex:
     plus g(z_i) added to the last column, divided by vdm_hat(z).
     """
     zs = list(zs)
-    L = len(zs)
-    if L == 0:
+    if not zs:
         return 1.0 + 0j
-    mat = np.zeros((L, L), dtype=complex)
-    for i, z in enumerate(zs):
-        fp, fm = f(z), f(-z)
-        vp, vm = varsigma(z + eta / 2), varsigma(z - eta / 2)
-        for j in range(L):
-            mat[i, j] = fp * vp ** j + fm * vm ** j
-        if g is not None:
-            mat[i, L - 1] += g(z)
+    gz = [g(z) for z in zs] if g is not None else 0.0
+    mat = functional_matrix(zs, [f(z) for z in zs], [f(-z) for z in zs], gz, eta)
     denom = vdm_hat(zs)
     if abs(denom) < 1e-280:
         raise ValueError("Vandermonde collision in the functional's point set")
@@ -50,15 +58,13 @@ def f_special(a_set, z_set, eta):
     """The structured handle prod sinh(lam+a)/sinh(2 lam) * prod (vs-vs(z))/(vs(+eta/2)-vs(z))."""
     a_set = tuple(a_set)
     z_set = tuple(z_set)
+    zpoly = TrigPoly(z_set)
 
     def f(lam):
         out = 1.0 + 0j
         for a in a_set:
             out *= np.sinh(lam + a)
-        out /= np.sinh(2 * lam)
-        for z in z_set:
-            out *= (varsigma(lam) - varsigma(z)) / (varsigma(lam + eta / 2) - varsigma(z))
-        return out
+        return out / np.sinh(2 * lam) * zpoly(lam) / zpoly(lam + eta / 2)
 
     f.poles = tuple(varsigma(z - eta / 2) for z in z_set) \
         + tuple(varsigma(z + eta / 2) for z in z_set)
@@ -89,19 +95,6 @@ class VsRational:
         den = np.prod([vs - p for p in self.poles]) if self.poles else 1.0
         return Poly.polyval(vs, self.num) / den
 
-    def __add__(self, other):
-        assert self.poles == other.poles
-        return VsRational(Poly.polyadd(self.num, other.num), self.poles)
-
-    def __sub__(self, other):
-        assert self.poles == other.poles
-        return VsRational(Poly.polysub(self.num, other.num), self.poles)
-
-    def __mul__(self, scalar):
-        return VsRational(self.num * scalar, self.poles)
-
-    __rmul__ = __mul__
-
     def coeff(self, k: int) -> complex:
         return complex(self.num[k]) if k < len(self.num) else 0.0 + 0j
 
@@ -126,19 +119,60 @@ class VsRational:
     def from_vs_poly(cls, coeffs, poles):
         """Polynomial in varsigma promoted over the common denominator."""
         poles = tuple(poles)
-        den = np.array([1.0 + 0j])
-        for p in poles:
-            den = Poly.polymul(den, np.array([-p, 1.0]))
-        return cls(Poly.polymul(np.asarray(coeffs, dtype=complex), den), poles)
+        return cls(Poly.polymul(np.asarray(coeffs, dtype=complex),
+                                Poly.polyfromroots(poles)), poles)
+
+
+def _level_coeff(gamma, delta, fb_coef, ref_coef, L: int, k: int) -> complex:
+    """Coefficient k of fbar^(L) + g^(L), with g^(L) as combined by ``g_levels``."""
+    out = fb_coef[L].coeff(k) + delta[L] * ref_coef.coeff(k)
+    for j, c in gamma[L].items():
+        out += c * fb_coef[j].coeff(k)
+    return out
+
+
+def g_levels(fb_coef, ref_coef, a_sum, eta, top: int, low: int, offset: int):
+    """The downward recursion for the correction functions, from ``top`` to ``low``.
+
+    Level L is kept as g^(L) = sum_j gamma[L][j] fbar^(j) + delta[L] * ref.
+    ``fb_coef`` and ``ref_coef`` hold the exactly interpolated numerator
+    coefficients of fbar^(j) and of the reference over a common denominator.
+    fbar^(L) has degree offset + L and g^(L) cancels its top coefficient;
+    coefficient offset + L of level L + 1 is the z -> infinity limit that
+    fixes the step down to level L.
+    """
+    gamma = {top: {}}
+    delta = {top: 1.0 + 0j}
+    for L in range(top - 1, low - 1, -1):
+        den = np.sinh((L + 1 - top) * eta - a_sum)
+        if abs(den) < 1e-10:
+            raise ValueError("resonant induction denominator; perturb the a-set")
+        k_fac = _level_coeff(gamma, delta, fb_coef, ref_coef, L + 1, offset + L) / den
+        new_gamma = {j: -c for j, c in gamma[L + 1].items()}
+        new_gamma[L] = new_gamma.get(L, 0.0) + (k_fac - 1.0)
+        new_gamma[L + 1] = new_gamma.get(L + 1, 0.0) - 1.0
+        gamma[L] = new_gamma
+        delta[L] = -delta[L + 1]
+    return gamma, delta
+
+
+def level_handle(gamma_l, delta_l, fb_fns, ref_fn):
+    """The callable sum_j gamma_l[j] fbar^(j) + delta_l * ref of one level."""
+    def g(lam):
+        out = delta_l * ref_fn(lam)
+        for j, c in gamma_l.items():
+            out += c * fb_fns[j](lam)
+        return out
+
+    return g
 
 
 def _ghat_family(a_set, x_set, eta, low: int):
-    """The downward recursion for the correction functions, down to level ``low``.
+    """The correction functions of the exchange identities, down to level ``low``.
 
-    Each level is kept as a linear combination of the symmetrized handles
-    fbar^(j) plus the reference polynomial; the infinite-point limits need
-    only the top band of numerator coefficients, which circle sampling
-    recovers accurately.  Returns (callables by level, combination data).
+    The infinite-point limits need only the top band of numerator
+    coefficients, which circle sampling recovers accurately.  Returns
+    (callables by level, (gamma, delta, fbar coefficients, reference)).
     """
     n = len(x_set)
     poles = tuple(varsigma(x + eta / 2) for x in x_set) \
@@ -149,46 +183,16 @@ def _ghat_family(a_set, x_set, eta, low: int):
     fb_fns = {j: fbar_j(f_ex, j, eta) for j in range(low, n + 1)}
     fb_coef = {j: VsRational.from_function(fb_fns[j], 2 * n + j, poles)
                for j in range(low, n + 1)}
+    xpoly = TrigPoly(x_set)
+    xd = VsRational.from_vs_poly(
+        np.sinh(a_sum - eta) * Poly.polyfromroots([varsigma(x) for x in x_set]), poles)
 
-    x_poly = np.array([np.sinh(a_sum - eta)], dtype=complex)
-    for x in x_set:
-        x_poly = Poly.polymul(x_poly, np.array([-varsigma(x), 1.0]))
-    xd = VsRational.from_vs_poly(x_poly, poles)
+    def ref(lam):
+        return np.sinh(a_sum - eta) * xpoly(lam)
 
-    def x_eval(lam):
-        return Poly.polyval(varsigma(lam), x_poly)
-
-    # ghat^(L) = sum_j gamma[L][j] fbar^(j) + delta[L] * x_eval
-    gamma = {n: {}}
-    delta = {n: 1.0 + 0j}
-    for L in range(n - 1, low - 1, -1):
-        den = np.sinh((L + 1 - n) * eta - a_sum)
-        if abs(den) < 1e-10:
-            raise ValueError("resonant induction denominator; perturb the a-set")
-        lim = fb_coef[L + 1].coeff(2 * n + L) + delta[L + 1] * xd.coeff(2 * n + L)
-        for j, c in gamma[L + 1].items():
-            lim += c * fb_coef[j].coeff(2 * n + L)
-        k_fac = lim / den
-        new_gamma = {j: -c for j, c in gamma[L + 1].items()}
-        new_gamma[L] = new_gamma.get(L, 0.0) + (k_fac - 1.0)
-        new_gamma[L + 1] = new_gamma.get(L + 1, 0.0) - 1.0
-        gamma[L] = new_gamma
-        delta[L] = -delta[L + 1]
-
-    def make_ghat(L):
-        gam = dict(gamma[L])
-        dl = delta[L]
-
-        def ghat(lam):
-            out = dl * x_eval(lam)
-            for j, c in gam.items():
-                out += c * fb_fns[j](lam)
-            return out
-
-        return ghat
-
-    ghat_fns = {L: make_ghat(L) for L in gamma}
-    return ghat_fns, (gamma, delta, fb_fns, fb_coef, xd, x_eval)
+    gamma, delta = g_levels(fb_coef, xd, a_sum, eta, n, low, 2 * n)
+    ghat_fns = {L: level_handle(gamma[L], delta[L], fb_fns, ref) for L in gamma}
+    return ghat_fns, (gamma, delta, fb_coef, xd)
 
 
 def check_identity_D(variant: int, a_set, x_set, z_set, eta):
@@ -200,12 +204,13 @@ def check_identity_D(variant: int, a_set, x_set, z_set, eta):
     f_ex = f_special(tuple(eta / 2 - a for a in a_set), x_set, eta)
     lhs = a_functional(x_set, f_az, eta)
 
+    xpoly = TrigPoly(x_set)
+
     if variant == 1:
         assert n == m
         if n_a == 4:
             def g(lam):
-                return np.sinh(a_sum - eta) * np.prod(
-                    [varsigma(lam) - varsigma(x) for x in x_set])
+                return np.sinh(a_sum - eta) * xpoly(lam)
         else:
             g = None
         rhs = (-1) ** n * a_functional(z_set, f_ex, eta, g)
@@ -215,8 +220,7 @@ def check_identity_D(variant: int, a_set, x_set, z_set, eta):
             fb_m = fbar_j(f_ex, m, eta)
 
             def g(lam):
-                return (-1) ** (m - n) * np.sinh(a_sum - eta) * np.prod(
-                    [varsigma(lam) - varsigma(x) for x in x_set]) - fb_m(lam)
+                return (-1) ** (m - n) * np.sinh(a_sum - eta) * xpoly(lam) - fb_m(lam)
         else:
             g = None
         denom = np.prod([np.sinh(a_sum - j * eta) for j in range(1, m - n + 1)])
@@ -240,12 +244,10 @@ def check_identity_D(variant: int, a_set, x_set, z_set, eta):
 def degree_cancellation_residual(a_set, x_set, eta) -> float:
     """Top-coefficient cancellation of fbar^(L) + ghat^(L) at every level."""
     n = len(x_set)
-    _, (gamma, delta, _, fb_coef, xd, _) = _ghat_family(a_set, x_set, eta, 1)
+    _, (gamma, delta, fb_coef, xd) = _ghat_family(a_set, x_set, eta, 1)
     worst = 0.0
     for L in range(1, n + 1):
-        top = fb_coef[L].coeff(2 * n + L) + delta[L] * xd.coeff(2 * n + L)
-        for j, c in gamma[L].items():
-            top += c * fb_coef[j].coeff(2 * n + L)
+        top = _level_coeff(gamma, delta, fb_coef, xd, L, 2 * n + L)
         ref = max(abs(fb_coef[L].coeff(2 * n + L)), 1e-300)
         worst = max(worst, abs(top) / ref)
     return worst
@@ -257,9 +259,9 @@ def degree_cancellation_residual(a_set, x_set, eta) -> float:
 
 def phi_ratio(lam, x_set, eta) -> complex:
     """sinh(2l-eta)/sinh(2l+eta) * X(l+eta)/X(l-eta) for X built on x_set."""
-    num = np.prod([varsigma(lam + eta) - varsigma(x) for x in x_set])
-    den = np.prod([varsigma(lam - eta) - varsigma(x) for x in x_set])
-    return complex(np.sinh(2 * lam - eta) / np.sinh(2 * lam + eta) * num / den)
+    xpoly = TrigPoly(tuple(x_set))
+    return np.sinh(2 * lam - eta) / np.sinh(2 * lam + eta) \
+        * xpoly(lam + eta) / xpoly(lam - eta)
 
 
 def onshell_residual(f, x_set, eta) -> float:
@@ -308,15 +310,15 @@ def onshell_solve(f, x_init, eta, tol: float = 1e-11, maxit: int = 50):
     raise ValueError("on-shell Newton iteration did not converge")
 
 
-def x_weights(f, g, x_set, eta):
-    """X^g_{f,k} = g(x_k) sinh(2x_k - eta) / (f(-x_k) X'(x_k) X(x_k - eta))."""
-    out = []
-    for k, xk in enumerate(x_set):
-        xprime = np.sinh(2 * xk) * np.prod(
-            [varsigma(xk) - varsigma(x) for j, x in enumerate(x_set) if j != k])
-        xm = np.prod([varsigma(xk - eta) - varsigma(x) for x in x_set])
-        out.append(g(xk) * np.sinh(2 * xk - eta) / (f(-xk) * xprime * xm))
-    return np.array(out)
+def x_weights(x_set, gx, fmx, eta):
+    """X^g_{f,k} = g(x_k) sinh(2x_k - eta) / (f(-x_k) X'(x_k) X(x_k - eta)).
+
+    Takes the values gx = g(x_k) and fmx = f(-x_k); the dtype follows them.
+    """
+    xpoly = TrigPoly(tuple(x_set))
+    return np.array([gk * np.sinh(2 * xk - eta)
+                     / (fk * xpoly.deriv(xk) * xpoly(xk - eta))
+                     for xk, gk, fk in zip(x_set, gx, fmx)])
 
 
 def check_identity_E(variant: int, f, g, x_set, y_set, eta):
@@ -335,17 +337,7 @@ def check_identity_E(variant: int, f, g, x_set, y_set, eta):
     xs = np.array(x_set, dtype=ld)
     ys = np.array(y_set, dtype=ld)
 
-    def vsx(lam):
-        return np.cosh(2 * lam) / 2
-
-    def xfull(lam):
-        return np.prod(vsx(lam) - vsx(xs)) if l1 else ld(1)
-
-    def phix(k):
-        num = np.prod(vsx(xs[k] + etx) - vsx(xs))
-        den = np.prod(vsx(xs[k] - etx) - vsx(xs))
-        return np.sinh(2 * xs[k] - etx) / np.sinh(2 * xs[k] + etx) * num / den
-
+    xpoly = TrigPoly(tuple(xs))
     fx = np.array([ld(complex(f(complex(x)))) for x in x_set])
     fmx = np.array([ld(complex(f(-complex(x)))) for x in x_set])
     fy = np.array([ld(complex(f(complex(y)))) for y in y_set])
@@ -357,44 +349,18 @@ def check_identity_E(variant: int, f, g, x_set, y_set, eta):
 
     # left side: the dressed-Vandermonde functional in the same precision
     pts = np.concatenate([xs, ys])
-    fp = np.concatenate([fx, fy])
-    fm = np.concatenate([fmx, fmy])
-    gv = np.concatenate([gx, gy])
-    L = l1 + l2
-    mat = np.zeros((L, L), dtype=ld)
-    for i in range(L):
-        vp, vm = vsx(pts[i] + etx / 2), vsx(pts[i] - etx / 2)
-        for j in range(L):
-            mat[i, j] = fp[i] * vp ** j + fm[i] * vm ** j
-        mat[i, L - 1] += gv[i]
-    vdm_all = ld(1)
-    for j in range(L):
-        for k in range(j + 1, L):
-            vdm_all *= np.sinh(pts[k] - pts[j]) * np.sinh(pts[k] + pts[j])
-    lhs = det_scaled(mat) / vdm_all
+    mat = functional_matrix(pts, np.concatenate([fx, fy]), np.concatenate([fmx, fmy]),
+                            np.concatenate([gx, gy]), etx)
+    lhs = det_scaled(mat) / vdm_hat(pts)
 
-    def vdm_ld(zs):
-        out = ld(1)
-        for j in range(len(zs)):
-            for k in range(j + 1, len(zs)):
-                out *= np.sinh(zs[k] - zs[j]) * np.sinh(zs[k] + zs[j])
-        return out
-
-    phis = np.array([phix(k) for k in range(l1)])
-    xg = np.zeros(l1, dtype=ld)
-    if g is not None:
-        for k in range(l1):
-            xprime = np.sinh(2 * xs[k]) * np.prod(
-                [vsx(xs[k]) - vsx(xs[j]) for j in range(l1) if j != k]) \
-                if l1 > 1 else np.sinh(2 * xs[k])
-            xm = np.prod(vsx(xs[k] - etx) - vsx(xs))
-            xg[k] = gx[k] * np.sinh(2 * xs[k] - etx) / (fmx[k] * xprime * xm)
+    phis = np.array([phi_ratio(x, xs, etx) for x in xs])
+    xg = x_weights(xs, gx, fmx, etx)
     sg = 1 + np.sum(xg)
 
-    vs_m = vdm_ld(xs - etx / 2)
-    vs_p = vdm_ld(xs + etx / 2)
-    v_xrev = vdm_ld(xs[::-1])
-    v_y = vdm_ld(ys)
+    vs_m = vdm_hat(xs - etx / 2)
+    vs_p = vdm_hat(xs + etx / 2)
+    v_xrev = vdm_hat(xs[::-1])
+    v_y = vdm_hat(ys)
 
     if variant == 1:
         assert l1 == l2
@@ -406,10 +372,10 @@ def check_identity_E(variant: int, f, g, x_set, y_set, eta):
             for k in range(l1):
                 acc = ld(0)
                 for sgn, fv in ((1, fy[i]), (-1, fmy[i])):
-                    xk_shift = np.prod([vsx(ys[i] + sgn * etx) - vsx(xs[j])
+                    xk_shift = np.prod([varsigma(ys[i] + sgn * etx) - varsigma(xs[j])
                                         for j in range(l1) if j != k]) \
                         if l1 > 1 else ld(1)
-                    acc += fv * xk_shift / (vsx(ys[i]) - vsx(xs[k]))
+                    acc += fv * xk_shift / (varsigma(ys[i]) - varsigma(xs[k]))
                 mat[i, k] = acc
         pref = np.prod(np.sinh(etx) * fmx * np.sinh(2 * xs))
         rhs = pref * vs_m / vs_p * sg * det_scaled(mat) / (v_xrev * v_y)
@@ -424,15 +390,15 @@ def check_identity_E(variant: int, f, g, x_set, y_set, eta):
                 bethe = fmx[k] - fx[k] * phis[k]
                 acc = ld(0)
                 for sgn, fv in ((1, fy[i]), (-1, fmy[i])):
-                    vsy = vsx(ys[i] + sgn * etx / 2)
-                    term = fmx[k] / (vsy - vsx(xs[k] + etx / 2)) \
-                        - fx[k] * phis[k] / (vsy - vsx(xs[k] - etx / 2))
+                    vsy = varsigma(ys[i] + sgn * etx / 2)
+                    term = fmx[k] / (vsy - varsigma(xs[k] + etx / 2)) \
+                        - fx[k] * phis[k] / (vsy - varsigma(xs[k] - etx / 2))
                     # minus sign: Schur complement through the
                     # Sherman-Morrison inverse, cf. the rectangular variant
                     term -= bethe / sg * np.sum(
-                        xg / (vsy - vsx(xs - etx / 2)))
-                    acc += fv * xfull(ys[i] + sgn * etx) * term
-                acc += gy[i] / xfull(ys[i]) * bethe / sg
+                        xg / (vsy - varsigma(xs - etx / 2)))
+                    acc += fv * xpoly(ys[i] + sgn * etx) * term
+                acc += gy[i] / xpoly(ys[i]) * bethe / sg
                 mat[i, k] = acc
         rhs = vs_m / vs_p * sg * det_scaled(mat) / (v_xrev * v_y)
         scale = max(abs(lhs), abs(rhs), 1e-300)
@@ -446,21 +412,21 @@ def check_identity_E(variant: int, f, g, x_set, y_set, eta):
                 acc = ld(0)
                 if k < l1:
                     for sgn, fv in ((1, fy[i]), (-1, fmy[i])):
-                        vsy = vsx(ys[i] + sgn * etx / 2)
-                        term = fmx[k] / (vsy - vsx(xs[k] + etx / 2)) \
-                            - fx[k] * phis[k] / (vsy - vsx(xs[k] - etx / 2))
-                        acc += fv * xfull(ys[i] + sgn * etx) * term
+                        vsy = varsigma(ys[i] + sgn * etx / 2)
+                        term = fmx[k] / (vsy - varsigma(xs[k] + etx / 2)) \
+                            - fx[k] * phis[k] / (vsy - varsigma(xs[k] - etx / 2))
+                        acc += fv * xpoly(ys[i] + sgn * etx) * term
                 else:
                     for sgn, fv in ((1, fy[i]), (-1, fmy[i])):
-                        vsy = vsx(ys[i] + sgn * etx / 2)
+                        vsy = varsigma(ys[i] + sgn * etx / 2)
                         term = vsy ** (k - l1)
                         if k == l2 - 1 and l1:
-                            term -= np.sum(xg / (vsy - vsx(xs - etx / 2)))
-                        acc += fv * xfull(ys[i] + sgn * etx) * term
+                            term -= np.sum(xg / (vsy - varsigma(xs - etx / 2)))
+                        acc += fv * xpoly(ys[i] + sgn * etx) * term
                     if k == l2 - 1:
-                        acc += gy[i] / xfull(ys[i])
+                        acc += gy[i] / xpoly(ys[i])
                 mat[i, k] = acc
-        rhs = vs_m / vs_p * det_scaled(mat) / (v_xrev * vdm_ld(ys))
+        rhs = vs_m / vs_p * det_scaled(mat) / (v_xrev * v_y)
         scale = max(abs(lhs), abs(rhs), 1e-300)
         return float(abs(lhs - rhs) / scale), None
 
@@ -531,7 +497,7 @@ def balanced_g_handle(rng, f, x_set, eta):
     checks numerically meaningful without restricting the function class.
     """
     g0 = random_fn_handle(rng, eta)
-    w = x_weights(f, g0, x_set, eta)
+    w = x_weights(x_set, [g0(x) for x in x_set], [f(-x) for x in x_set], eta)
     scale = np.median(np.abs(w))
     if scale < 1e-280:
         return g0

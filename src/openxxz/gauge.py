@@ -22,6 +22,7 @@ from .lattice import (
     AuxOp,
     ID2,
     apply_local,
+    embed_aux_pair,
     kmat_minus,
     kmat_plus,
     rel_residual,
@@ -416,40 +417,14 @@ def dyn_reflection_residual(lam, mu, params: ModelParams, gauge: GaugeParams,
             return u_sos(lamv, params, label, gauge)
         return u_tilde(lamv, params, label, gauge.alpha)
 
-    def emb1_dyn(lamv):
-        full = np.zeros((4 * dim, 4 * dim), dtype=complex)
-        for a2 in range(2):
-            proj = np.zeros((2, 2), dtype=complex)
-            proj[a2, a2] = 1
-            u = u_at(lamv, beta + (1 - 2 * a2))
-            for a in range(2):
-                for b in range(2):
-                    e = np.zeros((2, 2), dtype=complex)
-                    e[a, b] = 1
-                    full += np.kron(np.kron(e, proj), u.blocks[a, b])
-        return full
-
-    def emb2_dyn(muv):
-        full = np.zeros((4 * dim, 4 * dim), dtype=complex)
-        for a1 in range(2):
-            proj = np.zeros((2, 2), dtype=complex)
-            proj[a1, a1] = 1
-            u = u_at(muv, beta + (1 - 2 * a1))
-            for a in range(2):
-                for b in range(2):
-                    e = np.zeros((2, 2), dtype=complex)
-                    e[a, b] = 1
-                    full += np.kron(np.kron(proj, e), u.blocks[a, b])
-        return full
-
     def r12(r4):
         return np.kron(r4, np.eye(dim, dtype=complex))
 
     def r21(r4):
         return np.kron(PERM4 @ r4 @ PERM4, np.eye(dim, dtype=complex))
 
-    u1 = emb1_dyn(lam)
-    u2 = emb2_dyn(mu)
+    u1 = embed_aux_pair(lambda c: u_at(lam, beta + (1 - 2 * c)), 1)
+    u2 = embed_aux_pair(lambda c: u_at(mu, beta + (1 - 2 * c)), 2)
     r_lm_21 = r21(r_sos(lam - mu, beta, eta))
     r_lm_12 = r12(r_sos(lam - mu, beta, eta))
     r_lpm_21 = r21(r_sos(lam + mu - eta, beta, eta))

@@ -314,33 +314,36 @@ def reflection_residual_scalar(lam, mu, sigma, kappa, tau, eta) -> float:
     return rel_residual(lhs, rhs)
 
 
+def embed_aux_pair(op_at, slot: int) -> np.ndarray:
+    """Dense aux1 x aux2 x H matrix of an AuxOp acting on aux space ``slot`` (1 or 2).
+
+    ``op_at(c)`` is the operator while the other aux space is in its sigma^z
+    state c (0 or 1); it is constant for a non-dynamical operator.
+    """
+    ops = [op_at(0), op_at(1)]
+    full = np.zeros((4 * ops[0].dim, 4 * ops[0].dim), dtype=complex)
+    for c, op in enumerate(ops):
+        proj = np.zeros((2, 2), dtype=complex)
+        proj[c, c] = 1
+        for a in range(2):
+            for b in range(2):
+                e = np.zeros((2, 2), dtype=complex)
+                e[a, b] = 1
+                pair = np.kron(e, proj) if slot == 1 else np.kron(proj, e)
+                full += np.kron(pair, op.blocks[a, b])
+    return full
+
+
 def reflection_residual_operator(lam, mu, params: ModelParams) -> float:
     """Reflection-equation residual for U_-(lam) on aux1 x aux2 x H."""
     dim = 2 ** params.N
 
-    def emb1(op: AuxOp):
-        full = np.zeros((4 * dim, 4 * dim), dtype=complex)
-        for a in range(2):
-            for b in range(2):
-                e = np.zeros((2, 2), dtype=complex)
-                e[a, b] = 1
-                full += np.kron(np.kron(e, ID2), op.blocks[a, b])
-        return full
-
-    def emb2(op: AuxOp):
-        full = np.zeros((4 * dim, 4 * dim), dtype=complex)
-        for a in range(2):
-            for b in range(2):
-                e = np.zeros((2, 2), dtype=complex)
-                e[a, b] = 1
-                full += np.kron(np.kron(ID2, e), op.blocks[a, b])
-        return full
-
     def r12(r4):
         return np.kron(r4, np.eye(dim, dtype=complex))
 
-    u1 = emb1(u_minus(lam, params))
-    u2 = emb2(u_minus(mu, params))
+    u_lam, u_mu = u_minus(lam, params), u_minus(mu, params)
+    u1 = embed_aux_pair(lambda c: u_lam, 1)
+    u2 = embed_aux_pair(lambda c: u_mu, 2)
     r_lm = r12(r6v(lam - mu, params.eta))
     r_lpm = r12(r6v(lam + mu - params.eta, params.eta))
     lhs = r_lm @ u1 @ r_lpm @ u2

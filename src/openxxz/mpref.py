@@ -153,7 +153,7 @@ class _MpModel:
         k[1, 1] = mp.sinh(self.sm - lam + self.eta / 2)
         return k / mp.sinh(self.sm)
 
-    def _embed_aux_site(self, r4, n, site_first=False):
+    def _embed_aux_site(self, r4, n):
         """Full (2 dim x 2 dim) operator of a two-space factor on (aux, site n)."""
         N, dim = self.N, self.dim
         full = _zeros(2 * dim, 2 * dim)
@@ -165,32 +165,7 @@ class _MpModel:
                         tb = list(bits)
                         tb[n - 1] = snew
                         t = _site_index(tb)
-                        if site_first:
-                            val = r4[2 * bits[n - 1] + a, 2 * snew + b]
-                        else:
-                            val = r4[2 * a + bits[n - 1], 2 * b + snew]
-                        full[a * dim + s, b * dim + t] += val
-        return full
-
-    def _embed_dyn_aux_site(self, mat_fn, n, site_first):
-        """Dynamical version: the 4x4 factor depends on sz of sites > n."""
-        N, dim = self.N, self.dim
-        full = _zeros(2 * dim, 2 * dim)
-        for a in range(2):
-            for b in range(2):
-                for s in range(dim):
-                    bits = [(s >> (N - 1 - j)) & 1 for j in range(N)]
-                    k = sum(1 - 2 * bits[j] for j in range(n, N))
-                    r4 = mat_fn(k)
-                    for snew in range(2):
-                        tb = list(bits)
-                        tb[n - 1] = snew
-                        t = _site_index(tb)
-                        if site_first:
-                            val = r4[2 * bits[n - 1] + a, 2 * snew + b]
-                        else:
-                            val = r4[2 * a + bits[n - 1], 2 * b + snew]
-                        full[a * dim + s, b * dim + t] += val
+                        full[a * dim + s, b * dim + t] += r4[2 * a + bits[n - 1], 2 * b + snew]
         return full
 
     def bulk_monodromy(self, lam):

@@ -27,7 +27,7 @@ from .sov import (
     sov_state,
     sov_weights,
 )
-from .detid import a_functional
+from .detid import VsRational, a_functional, fbar_j, g_levels, level_handle, x_weights
 
 Poly = np.polynomial.polynomial
 
@@ -161,64 +161,6 @@ def f_eps(lam, aset: ASet, params: ModelParams) -> complex:
     return out
 
 
-def _fbar_eps(lam, j: int, aset: ASet, params: ModelParams) -> complex:
-    eta = params.eta
-    return f_eps(lam, aset, params) * varsigma(lam + eta / 2) ** (j - 1) \
-        + f_eps(-lam, aset, params) * varsigma(lam - eta / 2) ** (j - 1)
-
-
-def g_eps_coeffs(aset: ASet, params: ModelParams, low: int):
-    """Coefficient combinations of the correction polynomials down to ``low``.
-
-    Each level L is stored as gamma-weights on the fbar polynomials plus a
-    delta-weight on the degree-2N reference polynomial; limits are read off
-    the exactly-interpolated top coefficients.
-    """
-    N = params.N
-    eta = params.eta
-    a_sum = aset.total
-    prod_sinh = np.prod([np.sinh(a) for a in aset.values])
-
-    def base_poly_coeffs():
-        out = np.array([np.sinh(a_sum - eta) / prod_sinh], dtype=complex)
-        for n in range(1, N + 1):
-            for h in (0, 1):
-                out = Poly.polymul(out, np.array([-varsigma(params.xi_shifted(n, h)), 1.0]))
-        return out
-
-    gN = base_poly_coeffs()
-
-    def fbar_coeffs(j):
-        # fbar^(j) is a polynomial in varsigma of degree j + N
-        deg = j + N
-        npts = deg + 1
-        radius = 2.0 + max(abs(varsigma(x)) for x in params.xi)
-        ks = np.arange(npts)
-        vs_pts = radius * np.exp(2j * np.pi * ks / npts)
-        from .trig import canonical_root
-        vals = np.array([_fbar_eps(canonical_root(v), j, aset, params) for v in vs_pts])
-        return np.fft.fft(vals) / npts / radius ** ks
-
-    fb = {j: fbar_coeffs(j) for j in range(low, N + 1)}
-    gamma = {N: {}}
-    delta = {N: 1.0 + 0j}
-    for L in range(N - 1, low - 1, -1):
-        den = np.sinh((L + 1 - N) * eta - a_sum)
-        if abs(den) < 1e-10:
-            raise ValueError("resonant induction denominator in the g recursion")
-        lim = (fb[L + 1][N + L] if N + L < len(fb[L + 1]) else 0.0) \
-            + delta[L + 1] * (gN[N + L] if N + L < len(gN) else 0.0)
-        for j, c in gamma[L + 1].items():
-            lim += c * (fb[j][N + L] if N + L < len(fb[j]) else 0.0)
-        k_fac = prod_sinh * lim / den
-        new_gamma = {j: -c for j, c in gamma[L + 1].items()}
-        new_gamma[L] = new_gamma.get(L, 0.0) + (k_fac - 1.0)
-        new_gamma[L + 1] = new_gamma.get(L + 1, 0.0) - 1.0
-        gamma[L] = new_gamma
-        delta[L] = -delta[L + 1]
-    return gamma, delta, gN
-
-
 def g_eps_handle(level: int, aset: ASet, params: ModelParams):
     """The correction function g at the requested level (None when absent)."""
     if aset.mixed_sign or aset.n_a != 4:
@@ -228,6 +170,9 @@ def g_eps_handle(level: int, aset: ASet, params: ModelParams):
     a_sum = aset.total
     prod_sinh = np.prod([np.sinh(a) for a in aset.values])
 
+    def f(lam):
+        return f_eps(lam, aset, params)
+
     def g_base(lam):
         a, d = bulk_ad(lam, params)
         am, dm = bulk_ad(-lam, params)
@@ -236,21 +181,24 @@ def g_eps_handle(level: int, aset: ASet, params: ModelParams):
     if level == N:
         return g_base
     if level > N:
+        fb_top = fbar_j(f, level, eta)
+
         def g(lam):
-            return (-1) ** (level - N) * g_base(lam) - _fbar_eps(lam, level, aset, params)
+            return (-1) ** (level - N) * g_base(lam) - fb_top(lam)
         return g
 
-    gamma, delta, _ = g_eps_coeffs(aset, params, level)
-    gam = gamma[level]
-    dl = delta[level]
-
-    def g(lam):
-        out = dl * g_base(lam)
-        for j, c in gam.items():
-            out += c * _fbar_eps(lam, j, aset, params)
-        return out
-
-    return g
+    # fbar^(j) is a polynomial in varsigma of degree N + j; the recursion
+    # reads the coefficients of prod_l sinh(a_l) times fbar^(j) and g_base,
+    # for j above the requested level only
+    fb_fns = {j: fbar_j(f, j, eta) for j in range(level, N + 1)}
+    radius = 2.0 + max(abs(varsigma(x)) for x in params.xi)
+    fb_coef = {j: VsRational.from_function(lambda lam, fb=fb: prod_sinh * fb(lam),
+                                           N + j, (), radius)
+               for j, fb in fb_fns.items() if j > level}
+    grid = [varsigma(params.xi_shifted(n, h)) for n in range(1, N + 1) for h in (0, 1)]
+    ref_coef = VsRational(np.sinh(a_sum - eta) * Poly.polyfromroots(grid), ())
+    gamma, delta = g_levels(fb_coef, ref_coef, a_sum, eta, N, level, N)
+    return level_handle(gamma[level], delta[level], fb_fns, g_base)
 
 
 def z_beta(params: ModelParams, gauge: GaugeParams) -> complex:
@@ -315,17 +263,6 @@ def sp_thm52(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
 # On-shell forms: Slavnov, Gaudin, and the rank-one-corrected rectangle.
 # ---------------------------------------------------------------------------
 
-def _q_eval(roots, lam):
-    return np.prod([varsigma(lam) - varsigma(r) for r in roots]) if len(roots) else 1.0
-
-
-def _q_deriv(roots, k):
-    """lambda-derivative of the monic polynomial at its k-th root."""
-    qk = roots[k]
-    return np.sinh(2 * qk) * np.prod([varsigma(qk) - varsigma(r)
-                                      for j, r in enumerate(roots) if j != k])
-
-
 def slavnov_matrix(p_roots, q_roots, eps: EpsChoice, params: ModelParams) -> np.ndarray:
     """Jacobian d tau(p_j) / d q_k from the closed root-derivative formula.
 
@@ -335,16 +272,17 @@ def slavnov_matrix(p_roots, q_roots, eps: EpsChoice, params: ModelParams) -> np.
     eta = np.clongdouble(params.eta)
     p_roots = [np.clongdouble(p) for p in p_roots]
     q_roots = [np.clongdouble(q) for q in q_roots]
+    qpoly = TrigPoly(tuple(q_roots))
     n_p, n_q = len(p_roots), len(q_roots)
     out = np.zeros((n_p, n_q), dtype=np.clongdouble)
     for j, p in enumerate(p_roots):
-        qp = _q_eval(q_roots, p)
+        qp = qpoly(p)
         if abs(qp) < 1e-280:
             raise ValueError("p root collides with a q root")
         a_p = big_a_eps(p, eps, params)
         a_m = big_a_eps(-p, eps, params)
-        q_m = _q_eval(q_roots, p - eta)
-        q_pl = _q_eval(q_roots, p + eta)
+        q_m = qpoly(p - eta)
+        q_pl = qpoly(p + eta)
         tau_p = (a_p * q_m + a_m * q_pl) / qp
         for k, qk in enumerate(q_roots):
             val = a_p * q_m / (varsigma(p - eta) - varsigma(qk)) \
@@ -354,18 +292,18 @@ def slavnov_matrix(p_roots, q_roots, eps: EpsChoice, params: ModelParams) -> np.
     return out
 
 
+def _root_weights(q_roots, g, aset: ASet, params: ModelParams) -> np.ndarray:
+    """Rank-one correction weights X^g_k of f_eps over the on-shell roots."""
+    q_roots = [np.clongdouble(q) for q in q_roots]
+    return x_weights(q_roots, [g(q) for q in q_roots],
+                     [f_eps(-q, aset, params) for q in q_roots], np.clongdouble(params.eta))
+
+
 def h_q_factor(q_roots, g, aset: ASet, params: ModelParams) -> complex:
     """1 plus the rank-one correction sum over the on-shell roots."""
     if g is None:
         return 1.0 + 0j
-    eta = np.clongdouble(params.eta)
-    q_roots = [np.clongdouble(q) for q in q_roots]
-    out = np.clongdouble(1)
-    for k, qk in enumerate(q_roots):
-        out += g(qk) * np.sinh(2 * qk - eta) \
-            / (f_eps(-qk, aset, params) * _q_deriv(q_roots, k)
-               * _q_eval(q_roots, qk - eta))
-    return out
+    return 1 + np.sum(_root_weights(q_roots, g, aset, params))
 
 
 def sp_slavnov(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
@@ -382,11 +320,12 @@ def sp_slavnov(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
     eta = np.clongdouble(params.eta)
     aset = build_aset(eps, eps, params)
     g = g_eps_handle(2 * n, aset, params)
+    qpoly = TrigPoly(tuple(q_roots))
     pref = z_beta(params, gauge) * z_bar(aset, eps, params, gauge) \
         * gamma_prefactor(aset, 2 * n, params) \
         * h_q_factor(q_roots, g, aset, params)
     for p in p_roots:
-        pref *= _q_eval(q_roots, p) / (np.sinh(2 * p + eta) * np.sinh(2 * p - eta))
+        pref *= qpoly(p) / (np.sinh(2 * p + eta) * np.sinh(2 * p - eta))
     for q in q_roots:
         pref *= -big_a_eps(q, eps, params) / np.sinh(2 * q + eta)
     pref *= vdm_hat([q - eta / 2 for q in q_roots]) \
@@ -428,11 +367,12 @@ def gaudin_norm(q_spec: SeparateStateSpec, params: ModelParams,
     eta = np.clongdouble(params.eta)
     aset = build_aset(eps, eps, params)
     g = g_eps_handle(2 * n, aset, params)
+    qpoly = TrigPoly(tuple(q_roots))
     pref = z_beta(params, gauge) * z_bar(aset, eps, params, gauge) \
         * gamma_prefactor(aset, 2 * n, params) \
         * h_q_factor(q_roots, g, aset, params)
     for q in q_roots:
-        pref *= big_a_eps(q, eps, params) ** 2 * _q_eval(q_roots, q - eta) \
+        pref *= big_a_eps(q, eps, params) ** 2 * qpoly(q - eta) \
             / (np.sinh(2 * q + eta) ** 2 * np.sinh(2 * q - eta))
     pref *= vdm_hat([q - eta / 2 for q in q_roots]) \
         / vdm_hat([q + eta / 2 for q in q_roots])
@@ -455,35 +395,33 @@ def sp_slavnov_gen(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
     aset = build_aset(eps, eps, params)
     g = g_eps_handle(n_p + n_q, aset, params)
 
+    qpoly = TrigPoly(tuple(q_roots))
+
     s_mat = np.zeros((n_p, n_p), dtype=np.clongdouble)
     s_mat[:, :n_q] = slavnov_matrix(p_roots, q_roots, eps, params)
     for j, p in enumerate(p_roots):
-        qp = _q_eval(q_roots, p)
+        qp = qpoly(p)
         for k in range(n_q, n_p):
             acc = 0.0 + 0j
             for sgn in (1, -1):
                 acc += sgn * big_a_eps(-sgn * p, eps, params) \
                     * np.sinh(2 * p + sgn * eta) \
-                    * _q_eval(q_roots, p + sgn * eta) / qp \
+                    * qpoly(p + sgn * eta) / qp \
                     * varsigma(p + sgn * eta / 2) ** (k - n_q)
             s_mat[j, k] = acc
 
     # rank-one correction: a single non-zero column at the last position
     p_col = np.zeros(n_p, dtype=np.clongdouble)
     if g is not None:
+        w = _root_weights(q_roots, g, aset, params)
+        cosh_q = np.cosh(2 * np.array(q_roots) - eta)
         for j, p in enumerate(p_roots):
-            qp = _q_eval(q_roots, p)
+            qp = qpoly(p)
             val = g(p) * np.sinh(2 * p + eta) * np.sinh(2 * p - eta) / qp ** 2
             for sgn in (1, -1):
                 pref = sgn * big_a_eps(-sgn * p, eps, params) \
-                    * np.sinh(2 * p + sgn * eta) * _q_eval(q_roots, p + sgn * eta) / qp
-                inner = 0.0 + 0j
-                for l, ql in enumerate(q_roots):
-                    inner += 2 * g(ql) * np.sinh(2 * ql - eta) \
-                        / (f_eps(-ql, aset, params) * _q_deriv(q_roots, l)
-                           * _q_eval(q_roots, ql - eta)
-                           * (np.cosh(2 * p + sgn * eta) - np.cosh(2 * ql - eta)))
-                val -= pref * inner
+                    * np.sinh(2 * p + sgn * eta) * qpoly(p + sgn * eta) / qp
+                val -= pref * np.sum(2 * w / (np.cosh(2 * p + sgn * eta) - cosh_q))
             p_col[j] = val
     s_mat[:, n_p - 1] += p_col
 
@@ -493,7 +431,7 @@ def sp_slavnov_gen(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
         * z_bar(aset, eps, params, gauge) \
         * gamma_prefactor(aset, n_p + n_q, params)
     for p in p_roots:
-        pref *= _q_eval(q_roots, p) / (np.sinh(2 * p + eta) * np.sinh(2 * p - eta))
+        pref *= qpoly(p) / (np.sinh(2 * p + eta) * np.sinh(2 * p - eta))
     for q in q_roots:
         pref *= f_eps(-q, aset, params)
     pref *= vdm_hat([q - eta / 2 for q in q_roots]) \

@@ -152,12 +152,17 @@ def _rand_lam(rng):
     return complex(rng.uniform(0.15, 1.25), rng.uniform(-0.45, 0.45))
 
 
-def _setup(config: RunConfig):
-    params = config.model()
+def _gauge(params: ModelParams) -> GaugeParams:
+    """The (+1, +1) gauge branch, falling back to (-1, -1) where it is unsafe."""
     gauge = solve_gauge(params.boundary_plus, 1, 1, params.eta)
     if not gauge_is_safe(gauge, params):
         gauge = solve_gauge(params.boundary_plus, -1, -1, params.eta)
-    return params, gauge
+    return gauge
+
+
+def _setup(config: RunConfig):
+    params = config.model()
+    return params, _gauge(params)
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +406,7 @@ def suite_scalarprod(config: RunConfig) -> list:
 
     def onshell_suite():
         cpar = constrain_boundary(N, e0, params)
-        cgauge = solve_gauge(cpar.boundary_plus, 1, 1, cpar.eta)
-        if not gauge_is_safe(cgauge, cpar):
-            cgauge = solve_gauge(cpar.boundary_plus, -1, -1, cpar.eta)
+        cgauge = _gauge(cpar)
         cbasis = SovBasis(cpar, cgauge)
         aset = build_aset(e0, e0, cpar)
         for tau in brute_spectrum(cpar):
@@ -501,7 +504,7 @@ def homog_sweep(config: RunConfig, epsilons=(1e-1, 1e-2, 1e-3)):
     from .mpref import sp_direct_mp
 
     base = config.model()
-    gauge = solve_gauge(base.boundary_plus, 1, 1, base.eta)
+    gauge = _gauge(base)
     rng = rng_for(config.seed, "homog")
     N = base.N
     e0 = config.eps_choices[0]

@@ -167,21 +167,25 @@ class TrigPoly:
     """Even trig polynomial prod_j (sinh^2 lam - sinh^2 lam_j), stored by roots.
 
     Monic in varsigma: evaluation equals prod_j (varsigma(lam) - varsigma(lam_j)).
+    Extended-precision (``np.clongdouble``) roots are kept as they are, so
+    evaluation stays in that precision; every other root is cast to complex.
     """
 
     roots: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "roots", tuple(complex(r) for r in self.roots))
+        object.__setattr__(self, "roots", tuple(
+            r if isinstance(r, np.clongdouble) else complex(r) for r in self.roots))
 
     @property
     def degree(self) -> int:
         return len(self.roots)
 
     def __call__(self, lam):
+        vs = varsigma(lam)
         out = 1.0 + 0j
         for r in self.roots:
-            out = out * (varsigma(lam) - varsigma(r))
+            out = out * (vs - varsigma(r))
         return out
 
     def deriv(self, lam):

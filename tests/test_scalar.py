@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from openxxz.trig import TrigPoly, random_params, rng_for, vdm_hat
+from openxxz.trig import TrigPoly, random_params, rng_for, varsigma, vdm_hat
 from openxxz.gauge import solve_gauge
 from openxxz.sov import ADMISSIBLE_EPS, EpsChoice, SovBasis, a_eps_small, big_a_eps
 from openxxz.spectrum import (
@@ -11,7 +11,7 @@ from openxxz.spectrum import (
     solve_tq,
     tq_ratio,
 )
-from openxxz.detid import onshell_solve
+from openxxz.detid import VsRational, fbar_j, onshell_solve
 from openxxz.scalar import (
     SeparateStateSpec,
     aset_ratio_residual,
@@ -142,6 +142,20 @@ def test_g_eps_zero_on_grid(chain3):
     for n in range(1, params.N + 1):
         for h in (0, 1):
             assert abs(g(params.xi_shifted(n, h))) < 1e-10
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_g_eps_degree_cancellation(N):
+    # fbar^(L) has degree N + L in varsigma; g^(L) cancels its top coefficient
+    params = random_params(N, seed=1)
+    aset = build_aset(E0, E0, params)
+    radius = 2.0 + max(abs(varsigma(x)) for x in params.xi)
+    for L in range(1, N):
+        fb = fbar_j(lambda lam: f_eps(lam, aset, params), L, params.eta)
+        g = g_eps_handle(L, aset, params)
+        alone = VsRational.from_function(fb, N + L, (), radius)
+        both = VsRational.from_function(lambda lam: fb(lam) + g(lam), 2 * N, (), radius)
+        assert abs(both.coeff(N + L)) < 1e-9 * abs(alone.coeff(N + L))
 
 
 @pytest.mark.parametrize("offset", [-2, 0, 2])

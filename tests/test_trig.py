@@ -124,6 +124,26 @@ def test_trig_poly_even_periodic():
     assert q(lam) == pytest.approx(expected)
 
 
+def test_trigpoly_keeps_clongdouble():
+    ld = np.clongdouble
+    # roots divided in extended precision are not representable as complex
+    roots = tuple(np.array([0.9 + 0.6j, 3.3 - 0.3j, 1.8 + 0.15j], dtype=ld) / ld(3))
+    q = TrigPoly(roots=roots)
+    assert all(type(r) is ld for r in q.roots)
+    lam = ld(0.77 - 0.35j) / ld(3)
+    expected = np.prod([varsigma(lam) - varsigma(r) for r in roots])
+    assert type(q(lam)) is ld
+    assert abs(q(lam) - expected) < 1e-17 * abs(expected)
+    for k, rk in enumerate(roots):
+        expected = np.sinh(2 * rk) * np.prod(
+            [varsigma(rk) - varsigma(r) for j, r in enumerate(roots) if j != k])
+        assert type(q.deriv(rk)) is ld
+        assert abs(q.deriv(rk) - expected) < 1e-17 * abs(expected)
+    plain = TrigPoly(roots=tuple(complex(r) for r in roots))
+    assert all(type(r) is complex for r in plain.roots)
+    assert not isinstance(plain(complex(lam)), ld)
+
+
 def test_varsigma_halfshift_identity():
     # (vs(l+e/2) - vs(x+e/2)) (vs(l+e/2) - vs(x-e/2)) = (vs(l)-vs(x)) (vs(l+e)-vs(x))
     rng = rng_for(6, "identity")
