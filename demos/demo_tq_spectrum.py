@@ -43,7 +43,7 @@ basis = SovBasis(params, gauge)
 for tau in taus[:4]:
     vec = sov_eigenvector(tau, params, gauge, eps, "right", basis)
     print(f"  label {tau.label}: eigen-residual "
-          f"{eigen_residual(tau, vec, params, 'right'):.2e}")
+          f"{eigen_residual([tau], [vec], params, 'right'):.2e}")
 
 print("\nconstrained boundary (degree-N scalar vanishes):")
 cpar = constrain_boundary(params.N, eps, params)

@@ -151,35 +151,29 @@ def u_tilde(lam, params: ModelParams, beta, alpha) -> AuxOp:
 
 
 def sos_block(name: str, lam, label, params: ModelParams, gauge: GaugeParams) -> np.ndarray:
-    """Entry of the SOS boundary monodromy at dynamical label ``label``.
+    """Entry (a, b) of the SOS boundary monodromy at dynamical label ``label``.
 
-    A and B conjugate with the chain gauge at label+1 on the left; C and D
-    with label-1; the right factor is label+1 for the first column (A, C)
-    and label-1 for the second (B, D).
+    Read from the boundary-bulk product M^SOS K^SOS_-(lam | label + S^z)
+    Mhat^SOS as sum_{c,d} M^SOS_{ac} diag(K^SOS_{cd}) Mhat^SOS_{db}: local
+    dynamical factors only, so the entries that vanish by S^z conservation
+    stay exact zeros.  Equal to the paper's S^{-1}(label +- 1) Utilde
+    S(label +- 1), which the tests keep as the reference.
     """
-    al = gauge.alpha
-    ut = u_tilde(lam, params, label, al)
-    entry = {"A": ut.A, "B": ut.B, "C": ut.C, "D": ut.D}[name]
-    lshift = 1 if name in ("A", "B") else -1
-    rshift = 1 if name in ("A", "C") else -1
-    sl = s_chain(params, label + lshift, al)
-    sr = s_chain(params, label + rshift, al) if rshift != lshift else sl
-    return np.linalg.solve(sl, entry @ sr)
+    a, b = {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)}[name]
+    k_sos = _sz_stack(lambda k: k_sos_minus(lam, label + k, params, gauge.alpha), params.N)
+    m_row = m_sos(lam, params, label).blocks[a]
+    mhat_col = mhat_sos(lam, params, label).blocks[:, b]
+    # sum_d diag(K_cd) Mhat_db, then one matmul over (c, columns of M_ac)
+    right = np.einsum("icd,dij->cij", k_sos, mhat_col)
+    return np.concatenate(m_row, axis=1) @ np.concatenate(right, axis=0)
 
 
 def u_sos(lam, params: ModelParams, beta, gauge: GaugeParams) -> AuxOp:
-    """Full SOS boundary monodromy at dynamical label beta (via the tilde form)."""
+    """Full SOS boundary monodromy at dynamical label beta."""
     return AuxOp([[sos_block("A", lam, beta, params, gauge),
                    sos_block("B", lam, beta, params, gauge)],
                   [sos_block("C", lam, beta, params, gauge),
                    sos_block("D", lam, beta, params, gauge)]])
-
-
-def u_sos_via_bulk(lam, params: ModelParams, beta, gauge: GaugeParams) -> AuxOp:
-    """Boundary-bulk decomposition M^SOS K^SOS_-(lam | beta + S^z) Mhat^SOS."""
-    k_sos = _aux_diag(_sz_stack(
-        lambda k: k_sos_minus(lam, beta + k, params, gauge.alpha), params.N))
-    return m_sos(lam, params, beta) @ k_sos @ mhat_sos(lam, params, beta)
 
 
 def k_sos_minus(lam, beta, params: ModelParams, alpha) -> np.ndarray:

@@ -20,6 +20,8 @@ class CheckRecord:
     n_sites: int
     params_digest: str
     elapsed_ms: float = 0.0
+    # "<Type>: <message>" of the exception that made a guarded check fail
+    error: str = ""
 
 
 @dataclass

@@ -243,7 +243,9 @@ def sp_thm52(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
     """Exchanged-variable determinant representation of the scalar product.
 
     Returns (value, vanishing_flag); the flag marks the structurally zero
-    mixed-sign case with too few roots.
+    mixed-sign case with too few roots.  Raises ValueError for two constant
+    states on matching branches: the correction g then enters through the
+    last column of an empty determinant, and the result would be wrong.
     """
     eps, eps_p = q_spec.eps, p_spec.eps
     aset = build_aset(eps, eps_p, params, a_tilde)
@@ -252,6 +254,8 @@ def sp_thm52(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
     if abs(gam) < 1e-280:
         return 0.0 + 0j, True
     g = g_eps_handle(n_tot, aset, params) if eps == eps_p else None
+    if g is not None and n_tot == 0:
+        raise ValueError("sp_thm52 has no total-degree-0 form on matching sign branches")
     pts = list(q_spec.poly.roots) + list(p_spec.poly.roots)
     afun = a_functional(pts, lambda lam: f_eps(lam, aset, params), params.eta, g)
     val = (-1) ** (params.N * n_tot) * z_beta(params, gauge) \

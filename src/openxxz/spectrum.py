@@ -176,16 +176,18 @@ def sov_eigenvector(tau: TauPoly, params: ModelParams, gauge: GaugeParams,
     return out
 
 
-def eigen_residual(tau: TauPoly, vec: np.ndarray, params: ModelParams,
+def eigen_residual(taus, vecs: np.ndarray, params: ModelParams,
                    side: str = "right", lams=(0.48 + 0.21j, 0.92 - 0.14j, 1.21 + 0.33j)):
+    """Worst relative residual of T(lam) v = tau(lam) v (right) or v T = tau v
+    (left) over the rows v of ``vecs``, row i paired with ``taus[i]``."""
+    vecs = np.asarray(vecs)
+    norms = np.linalg.norm(vecs, axis=1)
     res = 0.0
     for lam in lams:
         tm = transfer(lam, params)
-        if side == "right":
-            diff = tm @ vec - tau(lam) * vec
-        else:
-            diff = vec @ tm - tau(lam) * vec
-        res = max(res, np.linalg.norm(diff) / (abs(tau(lam)) * np.linalg.norm(vec)))
+        vals = np.array([tau(lam) for tau in taus])
+        diff = vecs @ (tm.T if side == "right" else tm) - vals[:, None] * vecs
+        res = max(res, np.max(np.linalg.norm(diff, axis=1) / (np.abs(vals) * norms)))
     return float(res)
 
 

@@ -131,21 +131,21 @@ class _Recorder:
         self.tol = tol
         self._t0 = time.perf_counter()
 
-    def add(self, case, residual, tol=None):
+    def add(self, case, residual, tol=None, error=""):
         t1 = time.perf_counter()
         tol = self.tol if tol is None else tol
         residual = float(residual)
         self.records.append(CheckRecord(
             suite=self.suite, case=case, residual=residual, tolerance=tol,
             passed=bool(residual <= tol), seed=self.seed, n_sites=self.n,
-            params_digest=self.digest, elapsed_ms=(t1 - self._t0) * 1e3))
+            params_digest=self.digest, elapsed_ms=(t1 - self._t0) * 1e3, error=error))
         self._t0 = t1
 
     def guard(self, case, fn, tol=None):
         try:
             self.add(case, fn(), tol)
-        except Exception:
-            self.add(case, float("inf"), tol)
+        except Exception as exc:
+            self.add(case, float("inf"), tol, f"{type(exc).__name__}: {exc}")
 
 
 def _rand_lam(rng):
@@ -327,12 +327,9 @@ def suite_spectrum(config: RunConfig) -> list:
         rec.add(f"tau-{name}", res)
 
     def eigenvectors():
-        w = 0.0
-        for tau in taus:
-            for side in ("right", "left"):
-                vec = sov_eigenvector(tau, params, gauge, eps, side, basis)
-                w = max(w, eigen_residual(tau, vec, params, side))
-        return w
+        return max(eigen_residual(
+            taus, [sov_eigenvector(tau, params, gauge, eps, side, basis) for tau in taus],
+            params, side) for side in ("right", "left"))
     rec.guard("sov-eigenvectors", eigenvectors)
 
     def inhomogeneous_tq():

@@ -211,7 +211,7 @@ def test_criterion_06_spectrum():
             worst = max(worst, res)
         for side in ("right", "left"):
             vec = sov_eigenvector(tau, params, gauge, E0, side, basis)
-            worst = max(worst, eigen_residual(tau, vec, params, side))
+            worst = max(worst, eigen_residual([tau], [vec], params, side))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-8 and elapsed < 120
     report(6, "spectrum + eigenvectors", worst, 1e-8, ok)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from openxxz.trig import random_params, rng_for
-from openxxz.lattice import bulk_monodromy, r6v, rel_residual, site_op, transfer, u_minus
+from openxxz.lattice import AuxOp, bulk_monodromy, r6v, rel_residual, site_op, transfer, u_minus
 from openxxz.gauge import (
     ad_plus,
     ad_plus_raw,
@@ -25,7 +25,6 @@ from openxxz.gauge import (
     t_sos,
     transfer_from_tilde,
     u_sos,
-    u_sos_via_bulk,
     u_tilde,
     verify_sos_algebra,
     vertex_irf2_residual,
@@ -173,11 +172,18 @@ def test_gauged_entries_linear_combinations(setup3):
 
 
 def test_boundary_bulk_decomposition(setup3, setup5):
+    # reference: the paper's definition, Utilde conjugated by the chain gauge;
+    # rows A, B at label+1 and C, D at label-1, columns A, C at label+1 and
+    # B, D at label-1
     lam = 0.57 - 0.22j
     for params, gauge in (setup3, setup5):
-        u1 = u_sos(lam, params, gauge.beta, gauge)
-        u2 = u_sos_via_bulk(lam, params, gauge.beta, gauge)
-        assert rel_residual(u1.full(), u2.full()) < 1e-10
+        beta, alpha = gauge.beta, gauge.alpha
+        ut = u_tilde(lam, params, beta, alpha)
+        s_up, s_dn = s_chain(params, beta + 1, alpha), s_chain(params, beta - 1, alpha)
+        ref = [[np.linalg.solve(sl, ut.blocks[a, b] @ sr)
+                for b, sr in enumerate((s_up, s_dn))]
+               for a, sl in enumerate((s_up, s_dn))]
+        assert rel_residual(u_sos(lam, params, beta, gauge).full(), AuxOp(ref).full()) < 1e-10
 
 
 def test_dynamical_reflection(setup3):

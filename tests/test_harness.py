@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from openxxz.report import CheckRecord, VerificationReport, params_digest
-from openxxz.suites import RunConfig, homog_sweep, run_suite
+from openxxz.suites import RunConfig, _Recorder, homog_sweep, run_suite
 from openxxz.cli import main
 from openxxz.trig import random_params
 
@@ -41,7 +41,31 @@ def test_report_schema_fields():
     for line in r.to_jsonl().strip().splitlines():
         d = json.loads(line)
         assert set(d) == {"suite", "case", "residual", "tolerance", "passed",
-                          "seed", "n_sites", "params_digest", "elapsed_ms"}
+                          "seed", "n_sites", "params_digest", "elapsed_ms", "error"}
+
+
+def test_report_reads_lines_without_error_field():
+    line = json.dumps({"suite": "s", "case": "a", "residual": 1e-12, "tolerance": 1e-9,
+                       "passed": True, "seed": 3, "n_sites": 2, "params_digest": "abc",
+                       "elapsed_ms": 0.0})
+    (rec,) = VerificationReport.from_jsonl(line + "\n").records
+    assert rec.error == "" and rec.passed
+
+
+def test_guard_records_the_exception():
+    def raises():
+        raise ValueError("zero SoV eigenvector: inadmissible tau")
+
+    rec = _Recorder("spectrum", 7, random_params(2, seed=7), 1e-8)
+    rec.guard("broken", raises)
+    rec.guard("fine", lambda: 1e-12)
+    broken, fine = rec.records
+    assert not broken.passed and broken.residual == float("inf")
+    assert broken.error == "ValueError: zero SoV eigenvector: inadmissible tau"
+    assert fine.passed and fine.error == ""
+    text = VerificationReport(list(rec.records)).to_jsonl()
+    assert VerificationReport.from_jsonl(text).to_jsonl() == text
+    assert json.loads(text.splitlines()[0])["error"] == broken.error
 
 
 def test_params_digest_stable():

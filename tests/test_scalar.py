@@ -12,6 +12,7 @@ from openxxz.spectrum import (
     tq_ratio,
 )
 from openxxz.detid import VsRational, fbar_j, onshell_solve
+from openxxz.suites import _gauge
 from openxxz.scalar import (
     SeparateStateSpec,
     aset_ratio_residual,
@@ -84,9 +85,9 @@ def test_separate_left_forms_agree(chain3):
 def test_onshell_separate_state_is_eigenvector(onshell4):
     params, gauge, basis, tau, qpoly = onshell4
     vec = separate_state(SeparateStateSpec(qpoly, E0, "right"), basis)
-    assert eigen_residual(tau, vec, params, "right") < 1e-8
+    assert eigen_residual([tau], [vec], params, "right") < 1e-8
     lvec = separate_state(SeparateStateSpec(qpoly, E0, "left"), basis)
-    assert eigen_residual(tau, lvec, params, "left") < 1e-8
+    assert eigen_residual([tau], [lvec], params, "left") < 1e-8
 
 
 def test_bethe_form_states(chain3):
@@ -194,6 +195,50 @@ def test_four_way_n5():
         t, _ = sp_thm52(qs, ps, params, gauge)
         assert abs(s - d) < 1e-7 * abs(d)
         assert abs(t - d) < 1e-7 * abs(d)
+
+
+def test_sp_direct_matches_determinants_seed9():
+    # the model on which the dense contraction lost digits while the left SoV
+    # states were built from chain-gauge conjugated blocks
+    params = random_params(5, seed=9)
+    gauge = _gauge(params)
+    basis = SovBasis(params, gauge)
+    rng = rng_for(9, "sp-direct-seed9")
+    worst = 0.0
+    for _ in range(6):
+        for total in (3, 5, 7):
+            q, p = poly_pair(total, rng)
+            for eps_p in (E0, E1):
+                qs = SeparateStateSpec(q, E0, "left")
+                ps = SeparateStateSpec(p, eps_p, "right")
+                d = sp_direct(qs, ps, basis)
+                s = sp_sov(qs, ps, params, gauge)
+                t, flag = sp_thm52(qs, ps, params, gauge)
+                assert not flag
+                worst = max(worst, abs(s - d) / abs(d), abs(t - d) / abs(d))
+    assert worst < 1e-8
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_sp_thm52_degree_zero(N):
+    # two constant states: on matching branches the level-0 correction has no
+    # column to enter, so the exchanged form must refuse rather than return a
+    # wrong value; on other branches it meets sp_sov or is structurally zero
+    one = TrigPoly(roots=())
+    for seed in range(3):
+        params = random_params(N, seed=seed)
+        gauge = _gauge(params)
+        for eps in ADMISSIBLE_EPS:
+            for eps_p in ADMISSIBLE_EPS:
+                qs = SeparateStateSpec(one, eps, "left")
+                ps = SeparateStateSpec(one, eps_p, "right")
+                if eps == eps_p:
+                    with pytest.raises(ValueError, match="total-degree-0"):
+                        sp_thm52(qs, ps, params, gauge)
+                    continue
+                t, flag = sp_thm52(qs, ps, params, gauge)
+                s = sp_sov(qs, ps, params, gauge)
+                assert t == 0 if flag else abs(t - s) < 1e-10 * abs(s)
 
 
 def test_a_tilde_independence(chain4):

@@ -77,9 +77,9 @@ def test_sov_eigenvectors(setup3):
     basis = SovBasis(params, gauge)
     for tau in taus:
         vr = sov_eigenvector(tau, params, gauge, EPS0, "right", basis)
-        assert eigen_residual(tau, vr, params, "right") < 1e-8
+        assert eigen_residual([tau], [vr], params, "right") < 1e-8
         vl = sov_eigenvector(tau, params, gauge, EPS0, "left", basis)
-        assert eigen_residual(tau, vl, params, "left") < 1e-8
+        assert eigen_residual([tau], [vl], params, "left") < 1e-8
         cosang = abs(np.vdot(tau.eigvec_right, vr)) \
             / (np.linalg.norm(tau.eigvec_right) * np.linalg.norm(vr))
         assert np.sqrt(max(0.0, 1 - cosang ** 2)) < 1e-7
