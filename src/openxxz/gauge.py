@@ -159,21 +159,28 @@ def sos_block(name: str, lam, label, params: ModelParams, gauge: GaugeParams) ->
     stay exact zeros.  Equal to the paper's S^{-1}(label +- 1) Utilde
     S(label +- 1), which the tests keep as the reference.
     """
-    a, b = {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)}[name]
-    k_sos = _sz_stack(lambda k: k_sos_minus(lam, label + k, params, gauge.alpha), params.N)
-    m_row = m_sos(lam, params, label).blocks[a]
-    mhat_col = mhat_sos(lam, params, label).blocks[:, b]
-    # sum_d diag(K_cd) Mhat_db, then one matmul over (c, columns of M_ac)
-    right = np.einsum("icd,dij->cij", k_sos, mhat_col)
-    return np.concatenate(m_row, axis=1) @ np.concatenate(right, axis=0)
+    return _sos_blocks((name,), lam, label, params, gauge)[0]
 
 
 def u_sos(lam, params: ModelParams, beta, gauge: GaugeParams) -> AuxOp:
     """Full SOS boundary monodromy at dynamical label beta."""
-    return AuxOp([[sos_block("A", lam, beta, params, gauge),
-                   sos_block("B", lam, beta, params, gauge)],
-                  [sos_block("C", lam, beta, params, gauge),
-                   sos_block("D", lam, beta, params, gauge)]])
+    a, b, c, d = _sos_blocks("ABCD", lam, beta, params, gauge)
+    return AuxOp([[a, b], [c, d]])
+
+
+def _sos_blocks(names, lam, label, params: ModelParams, gauge: GaugeParams) -> list:
+    """The named blocks of the boundary-bulk product, from one build of its
+    factors M^SOS, Mhat^SOS and the K^SOS_- stack (see ``sos_block``)."""
+    k_sos = _sz_stack(lambda k: k_sos_minus(lam, label + k, params, gauge.alpha), params.N)
+    m = m_sos(lam, params, label).blocks
+    mhat = mhat_sos(lam, params, label).blocks
+    out = []
+    for name in names:
+        a, b = {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)}[name]
+        # sum_d diag(K_cd) Mhat_db, then one matmul over (c, columns of M_ac)
+        right = np.einsum("icd,dij->cij", k_sos, mhat[:, b])
+        out.append(np.concatenate(m[a], axis=1) @ np.concatenate(right, axis=0))
+    return out
 
 
 def k_sos_minus(lam, beta, params: ModelParams, alpha) -> np.ndarray:

@@ -55,8 +55,11 @@ def h_index(h) -> int:
     return idx
 
 
-def a_eps_small(lam, eps: EpsChoice, params: ModelParams) -> complex:
-    """Boundary factor a_eps(lam) entering the normalization function."""
+def a_eps_small(lam, eps: EpsChoice, params: ModelParams):
+    """Boundary factor a_eps(lam) entering the normalization function.
+
+    Elementwise in lam: a scalar or a numpy array of points.
+    """
     bp, bm = params.boundary_plus, params.boundary_minus
     eta = params.eta
     u = lam - eta / 2
@@ -67,13 +70,18 @@ def a_eps_small(lam, eps: EpsChoice, params: ModelParams) -> complex:
     return num / den
 
 
-def big_a_eps(lam, eps: EpsChoice, params: ModelParams) -> complex:
-    """The function multiplying Q(lam - eta) in the T-Q equation."""
-    if abs(np.sinh(2 * lam)) < 1e-14:
+def big_a_eps(lam, eps: EpsChoice, params: ModelParams):
+    """The function multiplying Q(lam - eta) in the T-Q equation.
+
+    Elementwise in lam: a scalar or a numpy array of points.  Raises if any
+    point lies on a pole sinh(2 lam) = 0.
+    """
+    s2 = np.sinh(2 * lam)
+    if (abs(s2) < 1e-14).any():
         raise ValueError("pole of the normalization function at sinh(2 lam) = 0")
     a, _ = bulk_ad(lam, params)
     _, dm = bulk_ad(-lam, params)
-    pref = (-1) ** params.N * np.sinh(2 * lam + params.eta) / np.sinh(2 * lam)
+    pref = (-1) ** params.N * np.sinh(2 * lam + params.eta) / s2
     return pref * a_eps_small(lam, eps, params) * a * dm
 
 

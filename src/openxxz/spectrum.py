@@ -37,8 +37,9 @@ class TauPoly:
     label: int
 
     def __call__(self, lam):
-        return complex(np.polynomial.polynomial.polyval(varsigma(lam),
-                                                        np.asarray(self.coeffs)))
+        """tau(lam) as a complex for a scalar lam, as an array for an array."""
+        val = np.polynomial.polynomial.polyval(varsigma(lam), np.asarray(self.coeffs))
+        return val if np.ndim(val) else complex(val)
 
     @property
     def degree(self) -> int:
@@ -145,18 +146,19 @@ def verify_tau(tau: TauPoly, params: ModelParams, eps: EpsChoice):
 
 def q_discrete(tau: TauPoly, params: ModelParams, eps: EpsChoice):
     """Values of Q on the shifted-inhomogeneity grid, normalized per site."""
+    x0 = np.asarray(params.xi) + params.eta / 2   # xi_shifted(n, 0) for every n
+    x1 = x0 - params.eta                          # xi_shifted(n, 1)
+    a0 = big_a_eps(x0, eps, params)
+    if np.any(np.abs(a0) < 1e-13):
+        raise ValueError("vanishing normalization function on the grid")
+    ratio = tau(x0) / a0
+    alt = big_a_eps(-x1, eps, params) / tau(x1)
+    if np.any(np.abs(ratio - alt) > 1e-9 * np.maximum(np.abs(alt), 1.0)):
+        raise ValueError("inconsistent discrete Q ratio; non-generic parameters")
     out = {}
     for n in range(1, params.N + 1):
-        x0 = params.xi_shifted(n, 0)
-        x1 = params.xi_shifted(n, 1)
-        a0 = big_a_eps(x0, eps, params)
-        if abs(a0) < 1e-13:
-            raise ValueError("vanishing normalization function on the grid")
         out[(n, 0)] = 1.0 + 0j
-        out[(n, 1)] = tau(x0) / a0
-        alt = big_a_eps(-x1, eps, params) / tau(x1)
-        if abs(out[(n, 1)] - alt) > 1e-9 * max(abs(alt), 1.0):
-            raise ValueError("inconsistent discrete Q ratio; non-generic parameters")
+        out[(n, 1)] = ratio[n - 1]
     return out
 
 
@@ -207,12 +209,12 @@ def f_frak(r: int, eps: EpsChoice, params: ModelParams) -> complex:
                            * np.cosh(combo + (params.N - 1 - 2 * r) * eta)))
 
 
-def big_f_eps(lam, eps: EpsChoice, params: ModelParams) -> complex:
-    """Inhomogeneous term of the T-Q equation."""
+def big_f_eps(lam, eps: EpsChoice, params: ModelParams):
+    """Inhomogeneous term of the T-Q equation, elementwise in lam."""
     a, d = bulk_ad(lam, params)
     am, dm = bulk_ad(-lam, params)
-    return complex(f_frak(params.N, eps, params) * a * am * d * dm
-                   * (np.cosh(2 * lam) ** 2 - np.cosh(params.eta) ** 2))
+    return f_frak(params.N, eps, params) * a * am * d * dm \
+        * (np.cosh(2 * lam) ** 2 - np.cosh(params.eta) ** 2)
 
 
 def constrain_boundary(r: int, eps: EpsChoice, params: ModelParams,
@@ -283,31 +285,30 @@ def solve_tq(tau: TauPoly, params: ModelParams, eps: EpsChoice,
     pts = _collocation_points(max(4 * N, deg + 3))
     eta = params.eta
 
-    def q_row(lam):
-        return np.array([varsigma(lam) ** k for k in range(deg + 1)])
+    # every term on the whole grid at once; row i is the equation at pts[i]
+    # in the monomials varsigma^k, k = 0..deg
+    t = tau(pts)
+    a_p = big_a_eps(pts, eps, params)
+    a_m = big_a_eps(-pts, eps, params)
+    f = big_f_eps(pts, eps, params) if inhom else np.zeros_like(t)
 
-    rows, rhs = [], []
-    for lam in pts:
-        a_p = big_a_eps(lam, eps, params)
-        a_m = big_a_eps(-lam, eps, params)
-        t = tau(lam)
-        row = t * q_row(lam) - a_p * q_row(lam - eta) - a_m * q_row(lam + eta)
-        target = -row[deg]
-        if inhom:
-            target += big_f_eps(lam, eps, params)
-        # each collocation equation is weighted to unit scale: the wide arc
-        # spans many orders of magnitude across rows
-        w = max(np.max(np.abs(row)), abs(target), 1e-300)
-        rows.append(row[:deg] / w)
-        rhs.append(target / w)
-    a_mat = np.array(rows)
-    b_vec = np.array(rhs)
+    def vander(lams):
+        return np.vander(varsigma(lams), deg + 1, increasing=True)
+
+    rows = t[:, None] * vander(pts) - a_p[:, None] * vander(pts - eta) \
+        - a_m[:, None] * vander(pts + eta)
+    target = f - rows[:, deg]
+    # each collocation equation is weighted to unit scale: the wide arc
+    # spans many orders of magnitude across rows
+    w = np.maximum(np.maximum(np.max(np.abs(rows), axis=1), np.abs(target)), 1e-300)
+    a_mat = rows[:, :deg] / w[:, None]
+    b_vec = target / w
 
     col_scale = np.linalg.norm(a_mat, axis=0)
     col_scale[col_scale == 0] = 1.0
-    sol, *_ = np.linalg.lstsq(a_mat / col_scale, b_vec, rcond=None)
+    # lstsq returns the singular values of the scaled matrix as well
+    sol, _, _, sv = np.linalg.lstsq(a_mat / col_scale, b_vec, rcond=None)
     coeffs = np.append(sol / col_scale, 1.0)
-    sv = np.linalg.svd(a_mat / col_scale, compute_uv=False)
     singular_ratio = float(sv[-1] / sv[0]) if len(sv) else 1.0
 
     # companion-matrix roots in varsigma, one Newton polish step each
@@ -324,18 +325,9 @@ def solve_tq(tau: TauPoly, params: ModelParams, eps: EpsChoice,
 
     # report the equation residual of the root-form Q on the collocation
     # grid, relative to the size of the balanced terms
-    res = 0.0
-    for lam in pts:
-        t1 = tau(lam) * q(lam)
-        t2 = big_a_eps(lam, eps, params) * q(lam - eta)
-        t3 = big_a_eps(-lam, eps, params) * q(lam + eta)
-        val = t1 - t2 - t3
-        s = max(abs(t1), abs(t2), abs(t3))
-        if inhom:
-            f_term = big_f_eps(lam, eps, params)
-            val -= f_term
-            s = max(s, abs(f_term))
-        res = max(res, abs(val) / s)
+    terms = np.array([t * q(pts), a_p * q(pts - eta), a_m * q(pts + eta), f])
+    val = terms[0] - terms[1] - terms[2] - terms[3]
+    res = np.max(np.abs(val) / np.max(np.abs(terms), axis=0))
     return QSolution(q=q, inhomogeneous=inhom, eps=eps, residual=float(res),
                      singular_ratio=singular_ratio)
 

@@ -148,10 +148,14 @@ class ModelParams:
 
 
 def bulk_ad(lam, params: ModelParams):
-    """(a(lam), d(lam)) = (prod sinh(lam - xi_n + eta/2), prod sinh(lam - xi_n - eta/2))."""
-    xi = np.asarray(params.xi)
-    a = np.prod(np.sinh(lam - xi + params.eta / 2))
-    d = np.prod(np.sinh(lam - xi - params.eta / 2))
+    """(a(lam), d(lam)) = (prod sinh(lam - xi_n + eta/2), prod sinh(lam - xi_n - eta/2)).
+
+    Broadcasts over an array of lam; a scalar lam gives scalars, and the
+    dtype of lam (``clongdouble`` included) is kept.
+    """
+    diff = np.subtract.outer(lam, np.asarray(params.xi))
+    a = np.sinh(diff + params.eta / 2).prod(axis=-1)
+    d = np.sinh(diff - params.eta / 2).prod(axis=-1)
     return a, d
 
 

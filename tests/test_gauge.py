@@ -186,6 +186,16 @@ def test_boundary_bulk_decomposition(setup3, setup5):
         assert rel_residual(u_sos(lam, params, beta, gauge).full(), AuxOp(ref).full()) < 1e-10
 
 
+def test_u_sos_equals_single_blocks(setup3, setup5):
+    # u_sos builds its factors once; each block must equal its own sos_block
+    lam = 0.63 + 0.17j
+    for params, gauge in (setup3, setup5):
+        blocks = u_sos(lam, params, gauge.beta, gauge).blocks
+        for name, (a, b) in (("A", (0, 0)), ("B", (0, 1)), ("C", (1, 0)), ("D", (1, 1))):
+            single = sos_block(name, lam, gauge.beta, params, gauge)
+            assert rel_residual(blocks[a, b], single) < 1e-14
+
+
 def test_dynamical_reflection(setup3):
     params, gauge = setup3
     lam, mu = 0.4 + 0.2j, 0.9 - 0.3j

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from openxxz.trig import random_params
+from openxxz.trig import TrigPoly, bulk_ad, canonical_root, random_params, varsigma
 from openxxz.gauge import solve_gauge
-from openxxz.sov import ADMISSIBLE_EPS, EpsChoice, SovBasis
+from openxxz.sov import ADMISSIBLE_EPS, EpsChoice, SovBasis, big_a_eps
 from openxxz.spectrum import (
     QSolution,
+    TauPoly,
+    _collocation_points,
     big_f_eps,
     brute_spectrum,
     constrain_boundary,
@@ -182,3 +184,107 @@ def test_spectral_equivalence_brute_vs_interp(setup3):
         direct = np.sort_complex(np.linalg.eigvals(transfer(lam0, params)))
         interp = np.sort_complex(np.array([t(lam0) for t in taus]))
         assert np.max(np.abs(direct - interp)) < 1e-9 * np.max(np.abs(direct))
+
+
+def test_array_calls_equal_scalar_calls():
+    lams = np.concatenate([_collocation_points(12), [0.37 - 0.81j, -0.52 + 0.23j]])
+
+    def agree(arr, loop):
+        loop = np.array(loop)
+        assert arr.shape == loop.shape
+        assert np.all(np.abs(arr - loop) <= 1e-14 * np.abs(loop))
+
+    for N in range(1, 7):
+        params = random_params(N, seed=N)
+        a, d = bulk_ad(lams, params)
+        agree(a, [bulk_ad(x, params)[0] for x in lams])
+        agree(d, [bulk_ad(x, params)[1] for x in lams])
+        for eps in (EPS0, EPS0.flipped()):
+            agree(big_a_eps(lams, eps, params), [big_a_eps(x, eps, params) for x in lams])
+            agree(big_f_eps(lams, eps, params), [big_f_eps(x, eps, params) for x in lams])
+        coeffs = np.random.default_rng(N).normal(size=(N + 2, 2)) @ np.array([1, 1j])
+        tau = TauPoly(coeffs=tuple(coeffs), eigvec_right=None, eigvec_left=None, label=0)
+        agree(tau(lams), [tau(x) for x in lams])
+        assert isinstance(tau(lams[0]), complex)
+
+        # extended precision survives the broadcast, and a scalar stays a scalar
+        lam_ld = np.clongdouble(0.61) + np.clongdouble(0.29j)
+        a_ld, d_ld = bulk_ad(np.array([lam_ld, lam_ld / 2]), params)
+        assert a_ld.dtype == np.clongdouble and d_ld.dtype == np.clongdouble
+        a_one, d_one = bulk_ad(lam_ld, params)
+        assert np.ndim(a_one) == 0 and isinstance(a_one, np.clongdouble)
+        assert abs(a_ld[0] - a_one) <= 1e-14 * abs(a_one)
+        assert abs(d_ld[0] - d_one) <= 1e-14 * abs(d_one)
+
+    # one point on a sinh(2 lam) = 0 pole spoils the whole array
+    for pole in (0.0, 0.5j * np.pi):
+        with pytest.raises(ValueError):
+            big_a_eps(np.array([0.4 + 0.1j, pole, 1.1]), EPS0, params)
+
+
+def _solve_tq_per_point(tau, params, eps, mode):
+    """The collocation solve written one point at a time: the reference the
+    whole-grid solve must reproduce.  Returns the Q roots in varsigma, the
+    residual and the singular-value ratio of the scaled matrix."""
+    deg, eta = params.N, params.eta
+    inhom = mode == "inhomogeneous"
+    pts = _collocation_points(4 * deg)
+
+    def q_row(lam):
+        return np.array([varsigma(lam) ** k for k in range(deg + 1)])
+
+    rows, rhs = [], []
+    for lam in pts:
+        a_p, a_m = big_a_eps(lam, eps, params), big_a_eps(-lam, eps, params)
+        row = tau(lam) * q_row(lam) - a_p * q_row(lam - eta) - a_m * q_row(lam + eta)
+        target = -row[deg] + (big_f_eps(lam, eps, params) if inhom else 0)
+        w = max(np.max(np.abs(row)), abs(target), 1e-300)
+        rows.append(row[:deg] / w)
+        rhs.append(target / w)
+    a_mat = np.array(rows)
+    col_scale = np.linalg.norm(a_mat, axis=0)
+    sol = np.linalg.lstsq(a_mat / col_scale, np.array(rhs), rcond=None)[0]
+    sv = np.linalg.svd(a_mat / col_scale, compute_uv=False)
+    coeffs = np.append(sol / col_scale, 1.0)
+    roots = np.polynomial.polynomial.polyroots(coeffs)
+    dcoef = np.polynomial.polynomial.polyder(coeffs)
+    for i, r in enumerate(roots):
+        dp = np.polynomial.polynomial.polyval(r, dcoef)
+        if abs(dp) > 1e-13:
+            roots[i] = r - np.polynomial.polynomial.polyval(r, coeffs) / dp
+    q = TrigPoly(roots=tuple(canonical_root(r) for r in roots))
+    res = 0.0
+    for lam in pts:
+        terms = [tau(lam) * q(lam), big_a_eps(lam, eps, params) * q(lam - eta),
+                 big_a_eps(-lam, eps, params) * q(lam + eta),
+                 big_f_eps(lam, eps, params) if inhom else 0.0]
+        val = terms[0] - terms[1] - terms[2] - terms[3]
+        res = max(res, abs(val) / max(abs(x) for x in terms))
+    return np.array([varsigma(r) for r in q.roots]), res, sv[-1] / sv[0]
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_solve_tq_matches_per_point_loop(N, monkeypatch):
+    lstsq, fitted = np.linalg.lstsq, []
+
+    def recording_lstsq(a, b, **kwargs):
+        fitted.append(a)
+        return lstsq(a, b, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+    params = random_params(N, seed=1)
+    cpar = constrain_boundary(N, EPS0, params)
+    for mode, p in (("inhomogeneous", params), ("homogeneous", cpar)):
+        for tau in brute_spectrum(p):
+            sol = solve_tq(tau, p, EPS0, mode)
+            sv = np.linalg.svd(fitted[-1], compute_uv=False)
+            roots, res, ratio = _solve_tq_per_point(tau, p, EPS0, mode)
+            got = np.array([varsigma(r) for r in sol.q.roots])
+            for r in roots:
+                assert np.min(np.abs(got - r)) <= 1e-10 * abs(r)
+            assert res / 2 <= sol.residual <= 2 * res or max(res, sol.residual) < 1e-13
+            # the ratio read from lstsq is the SVD's ratio of the same matrix;
+            # against the per-point matrix, whose entries differ in the last
+            # bits, the smallest singular value moves by ~1e-16 absolute
+            assert abs(sol.singular_ratio - sv[-1] / sv[0]) <= 1e-12 * sv[-1] / sv[0]
+            assert abs(sol.singular_ratio - ratio) <= 1e-14
