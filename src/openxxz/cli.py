@@ -77,10 +77,10 @@ def load_config(path, overrides) -> RunConfig:
 def _emit(report: VerificationReport, args) -> int:
     if args.out:
         report.emit(args.out, fmt=args.format)
-    for suite, (total, passed, worst) in sorted(report.summary().items()):
+    for suite, (total, passed, worst, case) in sorted(report.suite_rows().items()):
         status = "pass" if passed == total else "FAIL"
         print(f"{suite:12s} {passed:3d}/{total:<3d} {status}  "
-              f"worst residual/tolerance = {worst:.3e}")
+              f"worst residual/tolerance = {worst:.3e} ({case})")
     return EXIT_OK if report.all_passed() else EXIT_NUMERICAL_FAILURE
 
 

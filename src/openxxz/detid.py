@@ -44,14 +44,19 @@ def a_functional(zs, f, eta, g=None) -> complex:
     plus g(z_i) added to the last column, divided by vdm_hat(z).
     """
     zs = list(zs)
+    gz = [g(z) for z in zs] if g is not None else 0.0
+    return a_functional_values(zs, [f(z) for z in zs], [f(-z) for z in zs], gz, eta)
+
+
+def a_functional_values(zs, fz, fmz, gz, eta) -> complex:
+    """A_{z}[f, g] from the values f(z_i), f(-z_i) and g(z_i) (see functional_matrix)."""
+    zs = list(zs)
     if not zs:
         return 1.0 + 0j
-    gz = [g(z) for z in zs] if g is not None else 0.0
-    mat = functional_matrix(zs, [f(z) for z in zs], [f(-z) for z in zs], gz, eta)
     denom = vdm_hat(zs)
     if abs(denom) < 1e-280:
         raise ValueError("Vandermonde collision in the functional's point set")
-    return complex(det_scaled(mat) / denom)
+    return complex(det_scaled(functional_matrix(zs, fz, fmz, gz, eta)) / denom)
 
 
 def f_special(a_set, z_set, eta):
@@ -466,26 +471,28 @@ def generic_point_set(rng, n, eta, others=(), sep: float = 0.08,
     genericity condition on the shifted inhomogeneities.  ``max_phi`` bounds
     the aggregate ratio magnitudes of the candidate set itself.
     """
-    others = [varsigma(o) for o in others]
+    others = varsigma(np.asarray(others, dtype=complex))
+    # columns of vs: the point, then the point shifted by eta, -eta, eta/2, -eta/2
+    shifts = np.array([0, 1, -1, 0.5, -0.5]) * eta
+    # the points are compared with each other, their shifts with the points
+    # and with the others
+    keep = np.ones((n, 5, n + len(others)), dtype=bool)
+    keep[np.arange(n), 0, np.arange(n)] = False
+    keep[:, 0, n:] = False
     for _ in range(tries):
-        pts = list(rng.uniform(0.2, 1.3, n) + 1j * rng.uniform(-0.45, 0.45, n))
-        vs = [varsigma(p) for p in pts]
-        shifted = [varsigma(p + s * eta) for p in pts for s in (1, -1, 0.5, -0.5)]
-        ok = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if abs(vs[i] - vs[j]) < sep:
-                    ok = False
-        for sh in shifted:
-            for v in vs + others:
-                if abs(sh - v) < sep:
-                    ok = False
-        if ok and max_phi is not None and n > 0:
-            mags = [abs(phi_ratio(p, pts, eta)) for p in pts]
-            if max(mags) > max_phi or min(mags) < 1 / max_phi:
-                ok = False
-        if ok:
-            return pts
+        pts = rng.uniform(0.2, 1.3, n) + 1j * rng.uniform(-0.45, 0.45, n)
+        vs = varsigma(pts[:, None] + shifts)
+        near = abs(vs[:, :, None] - np.concatenate([vs[:, 0], others])) < sep
+        if (near & keep).any():
+            continue
+        if max_phi is not None and n > 0:
+            # phi_ratio of every point, from the same varsigma values
+            s = np.sinh(2 * pts[:, None] + np.array([-eta, eta]))
+            x = (vs[:, 1:3, None] - vs[:, 0]).prod(axis=2)
+            mags = abs(s[:, 0] / s[:, 1] * x[:, 0] / x[:, 1])
+            if mags.max() > max_phi or mags.min() < 1 / max_phi:
+                continue
+        return list(pts)
     raise RuntimeError("could not sample a generic point set")
 
 

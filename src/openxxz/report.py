@@ -39,11 +39,21 @@ class VerificationReport:
 
     def summary(self):
         """Per-suite (total, passed, worst residual ratio) triples."""
+        return {suite: row[:3] for suite, row in self.suite_rows().items()}
+
+    def suite_rows(self):
+        """Per-suite (total, passed, worst residual ratio, worst case).
+
+        The worst case is the first record in case order that reaches the
+        worst ratio; a suite whose ratios are all 0 names its first case.
+        """
         out = {}
-        for r in sorted(self.records, key=lambda r: (r.suite, r.case)):
-            total, passed, worst = out.get(r.suite, (0, 0, 0.0))
+        for r in self.sorted_records():
+            total, passed, worst, case = out.get(r.suite, (0, 0, 0.0, r.case))
             ratio = r.residual / r.tolerance if r.tolerance > 0 else 0.0
-            out[r.suite] = (total + 1, passed + int(r.passed), max(worst, ratio))
+            if ratio > worst:
+                worst, case = ratio, r.case
+            out[r.suite] = (total + 1, passed + int(r.passed), worst, case)
         return out
 
     def sorted_records(self):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .trig import ModelParams, TrigPoly, bulk_ad, varsigma, vdm_hat
 from .lattice import det_scaled
-from .gauge import GaugeParams, bcoef_minus, s_chain
+from .gauge import GaugeParams, bcoef_minus
 from .sov import (
     EpsChoice,
     SovBasis,
@@ -27,7 +27,7 @@ from .sov import (
     sov_state,
     sov_weights,
 )
-from .detid import VsRational, a_functional, fbar_j, g_levels, level_handle, x_weights
+from .detid import VsRational, a_functional_values, fbar_j, g_levels, level_handle, x_weights
 
 Poly = np.polynomial.polynomial
 
@@ -48,11 +48,9 @@ class SeparateStateSpec:
 def separate_state(spec: SeparateStateSpec, basis: SovBasis,
                    use_bis: bool = False) -> np.ndarray:
     """Assemble the 2^N-term separate state in the computational basis."""
-    params, gauge = basis.params, basis.gauge
-    qtab = [[spec.poly(params.xi_shifted(n, b)) for b in (0, 1)]
-            for n in range(1, params.N + 1)]
+    qtab = spec.poly(basis.params.xi_grid())
     vec = sov_state(qtab, basis, spec.side, spec.eps, use_bis)
-    return vec / sov_norm_const(params, gauge, spec.eps)
+    return vec / basis.norm_const(spec.eps)
 
 
 def sp_direct(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
@@ -69,29 +67,28 @@ def sp_direct(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
 
 def sov_matrix(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
                params: ModelParams) -> np.ndarray:
-    """SoV determinant matrix of a pair: h-summed columns over the shifted grid."""
-    N = params.N
-    mat = np.zeros((N, N), dtype=complex)
-    for i in range(N):
-        lam0 = params.xi[i] + params.eta / 2
-        ratio = a_eps_small(lam0, p_spec.eps, params) \
-            / a_eps_small(lam0, q_spec.eps.flipped(), params)
-        for j in range(N):
-            for h in (0, 1):
-                w = (-ratio) ** h \
-                    * p_spec.poly(params.xi_shifted(i + 1, h)) \
-                    * q_spec.poly(params.xi_shifted(i + 1, h))
-                mat[i, j] += w * varsigma(params.xi_shifted(i + 1, 1 - h)) ** j
-    return mat
+    """SoV determinant matrix of a pair: h-summed columns over the shifted grid.
+
+    Entry (i, j) is sum_h (-r_i)^h P(xi_i^(h)) Q(xi_i^(h)) vs(xi_i^(1-h))^j,
+    with r_i = a_{eps_P}(xi_i + eta/2) / a_{-eps_Q}(xi_i + eta/2).
+    """
+    grid = params.xi_grid()
+    lam0 = grid[:, 0]
+    ratio = a_eps_small(lam0, p_spec.eps, params) \
+        / a_eps_small(lam0, q_spec.eps.flipped(), params)
+    w = p_spec.poly(grid)
+    w[:, 1] *= -ratio
+    w *= q_spec.poly(grid)
+    powers = varsigma(grid[:, ::-1])[:, :, None] ** np.arange(params.N)
+    return w[:, 0, None] * powers[:, 0] + w[:, 1, None] * powers[:, 1]
 
 
 def sp_sov(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
            params: ModelParams, gauge: GaugeParams) -> complex:
     """Determinant with h-summed columns over the shifted grid."""
-    N = params.N
     norm = sov_norm_const(params, gauge, p_spec.eps)
-    v0 = vdm_hat([params.xi_shifted(n, 0) for n in range(1, N + 1)])
-    v1 = vdm_hat([params.xi_shifted(n, 1) for n in range(1, N + 1)])
+    grid = params.xi_grid()
+    v0, v1 = vdm_hat(grid[:, 0]), vdm_hat(grid[:, 1])
     mat = sov_matrix(q_spec, p_spec, params)
     return complex(det_scaled(mat) * v0 / (v1 * norm))
 
@@ -151,8 +148,11 @@ def aset_ratio_residual(aset: ASet, eps: EpsChoice, eps_p: EpsChoice,
     return worst
 
 
-def f_eps(lam, aset: ASet, params: ModelParams) -> complex:
-    """The structured handle attached to the exchanged representation."""
+def f_eps(lam, aset: ASet, params: ModelParams):
+    """The structured handle attached to the exchanged representation.
+
+    Elementwise in lam: a scalar or a numpy array of points.
+    """
     a, _ = bulk_ad(-lam, params)
     _, d = bulk_ad(lam, params)
     out = (-1) ** params.N * a * d / np.sinh(2 * lam)
@@ -162,7 +162,10 @@ def f_eps(lam, aset: ASet, params: ModelParams) -> complex:
 
 
 def g_eps_handle(level: int, aset: ASet, params: ModelParams):
-    """The correction function g at the requested level (None when absent)."""
+    """The correction function g at the requested level (None when absent).
+
+    The handle is elementwise in lam, as f_eps is.
+    """
     if aset.mixed_sign or aset.n_a != 4:
         return None
     N = params.N
@@ -195,7 +198,7 @@ def g_eps_handle(level: int, aset: ASet, params: ModelParams):
     fb_coef = {j: VsRational.from_function(lambda lam, fb=fb: prod_sinh * fb(lam),
                                            N + j, (), radius)
                for j, fb in fb_fns.items() if j > level}
-    grid = [varsigma(params.xi_shifted(n, h)) for n in range(1, N + 1) for h in (0, 1)]
+    grid = varsigma(params.xi_grid()).ravel()
     ref_coef = VsRational(np.sinh(a_sum - eta) * Poly.polyfromroots(grid), ())
     gamma, delta = g_levels(fb_coef, ref_coef, a_sum, eta, N, level, N)
     return level_handle(gamma[level], delta[level], fb_fns, g_base)
@@ -256,8 +259,10 @@ def sp_thm52(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
     g = g_eps_handle(n_tot, aset, params) if eps == eps_p else None
     if g is not None and n_tot == 0:
         raise ValueError("sp_thm52 has no total-degree-0 form on matching sign branches")
-    pts = list(q_spec.poly.roots) + list(p_spec.poly.roots)
-    afun = a_functional(pts, lambda lam: f_eps(lam, aset, params), params.eta, g)
+    zs = np.array(q_spec.poly.roots + p_spec.poly.roots)
+    gz = g(zs) if g is not None else 0.0
+    afun = a_functional_values(zs, f_eps(zs, aset, params), f_eps(-zs, aset, params),
+                               gz, params.eta)
     val = (-1) ** (params.N * n_tot) * z_beta(params, gauge) \
         * z_bar(aset, eps_p, params, gauge) * gam * afun
     return complex(val), False
@@ -472,7 +477,7 @@ def bethe_form_state(q_spec: SeparateStateSpec, basis: SovBasis) -> np.ndarray:
     label = beta + 1 - 2 * m if side == "right" else beta - 1 + 2 * m
     states = raw_states(params, gauge, side, label) * basis.scales(eps)[side][:, None]
     w = sov_weights(np.ones((N, 2)), params, side, eps)
-    vec = w @ states / sov_norm_const(params, gauge, eps)
+    vec = w @ states / basis.norm_const(eps)
 
     if side == "right":
         for i in range(m - 1, -1, -1):
@@ -483,7 +488,7 @@ def bethe_form_state(q_spec: SeparateStateSpec, basis: SovBasis) -> np.ndarray:
                 * bcoef_minus(lbl - N, gauge, params)
             coef = (-1) ** N / blam * np.sinh(eta * lbl) / np.sinh(eta * (lbl - N))
             vec = coef * (b_op @ vec)
-        return s_chain(params, gauge.beta, gauge.alpha) @ vec
+        return basis.ungauge(vec, side)
 
     for i in range(m - 1, -1, -1):
         lam = roots[i]
@@ -493,4 +498,4 @@ def bethe_form_state(q_spec: SeparateStateSpec, basis: SovBasis) -> np.ndarray:
             * bcoef_minus(lbl + N, gauge, params)
         coef = (-1) ** N / blam * np.sinh(eta * (lbl + N - 1)) / np.sinh(eta * (lbl - 1))
         vec = coef * (vec @ b_op)
-    return np.linalg.solve(s_chain(params, gauge.beta, gauge.alpha).T, vec)
+    return basis.ungauge(vec, side)

@@ -207,10 +207,13 @@ def raw_states(params: ModelParams, gauge: GaugeParams, side: str, label) -> np.
 
 
 class SovBasis:
-    """Left and right SoV bases for one (params, gauge) pair.
+    """Left and right SoV bases for one (params, gauge) pair: the per-chain cache.
 
     Raw states are built once; the sign-branch dependence enters only through
-    one scale per state and side, attached lazily per EpsChoice.
+    one scale per state and side, attached lazily per EpsChoice.  The chain
+    gauge, the norm constant of each branch and the dressed states (see
+    dressed_states) are also built on first use and kept, so a separate state
+    costs one Q-product vector, one matvec and one gauge application.
     """
 
     def __init__(self, params: ModelParams, gauge: GaugeParams, check: bool = True):
@@ -221,6 +224,23 @@ class SovBasis:
         self._raw = {"right": raw_states(params, gauge, "right", gauge.beta + 1),
                      "left": raw_states(params, gauge, "left", gauge.beta - 1)}
         self._scale_cache = {}
+        self._norm_cache = {}
+        self._dressed_cache = {}
+        self._chain_gauge = None
+
+    @property
+    def chain_gauge(self) -> np.ndarray:
+        """The chain gauge matrix S = s_chain(params, beta, alpha)."""
+        if self._chain_gauge is None:
+            self._chain_gauge = s_chain(self.params, self.gauge.beta, self.gauge.alpha)
+            self._chain_gauge.setflags(write=False)
+        return self._chain_gauge
+
+    def ungauge(self, vec: np.ndarray, side: str) -> np.ndarray:
+        """S |vec> on the right side, <vec| S^{-1} on the left side."""
+        if side == "right":
+            return self.chain_gauge @ vec
+        return np.linalg.solve(self.chain_gauge.T, vec)  # row vector times S^{-1}
 
     # -- per-branch scalings ------------------------------------------------
 
@@ -261,14 +281,29 @@ class SovBasis:
         i = h_index(h)
         return self._raw["left"][i] * self.scales(eps)["left"][i]
 
+    def dressed_states(self, side: str, eps: EpsChoice, bis: bool = False) -> np.ndarray:
+        """The states of one side, each times its sov_weights factor without Q.
+
+        Row h is sov_weights(1, params, side, eps, bis)[h] * states(side, eps)[h],
+        so an SoV state is the Q-products prod_n Q(xi_n^(h_n)) times this.
+        """
+        key = (side, eps, bis)
+        if key not in self._dressed_cache:
+            w = sov_weights(np.ones((self.params.N, 2)), self.params, side, eps, bis)
+            self._dressed_cache[key] = w[:, None] * self.states(side, eps)
+            self._dressed_cache[key].setflags(write=False)
+        return self._dressed_cache[key]
+
     def norm_const(self, eps: EpsChoice) -> complex:
-        return sov_norm_const(self.params, self.gauge, eps)
+        if eps not in self._norm_cache:
+            self._norm_cache[eps] = sov_norm_const(self.params, self.gauge, eps)
+        return self._norm_cache[eps]
 
     def norm_const_dense(self, eps: EpsChoice) -> complex:
         """Matrix-element route: V(xi^(0)) <0|...|0bar> with the h=0 left state."""
         params = self.params
         dim = 2 ** params.N
-        v0 = vdm_hat([params.xi_shifted(n, 0) for n in range(1, params.N + 1)])
+        v0 = vdm_hat(params.xi_grid()[:, 0])
         h0 = tuple([0] * params.N)
         return complex(v0 * self.left_state(h0, eps)[dim - 1])
 
@@ -318,15 +353,13 @@ def sov_state(qtab, basis: SovBasis, side: str, eps: EpsChoice,
               bis: bool = False) -> np.ndarray:
     """The weighted h-sum of basis states (see sov_weights), ungauged.
 
+    The Q-products prod_n qtab[n - 1, h_n] weight the cached dressed states.
     A right state comes back as S |.>, a left one as <.| S^{-1}, with S the
     chain gauge.
     """
-    params, gauge = basis.params, basis.gauge
-    vec = sov_weights(qtab, params, side, eps, bis) @ basis.states(side, eps)
-    s = s_chain(params, gauge.beta, gauge.alpha)
-    if side == "right":
-        return s @ vec
-    return np.linalg.solve(s.T, vec)  # row vector times S^{-1}
+    N = basis.params.N
+    qprod = np.prod(np.asarray(qtab)[np.arange(N), _bits(N)], axis=1)
+    return basis.ungauge(qprod @ basis.dressed_states(side, eps, bis), side)
 
 
 def sov_norm_const(params: ModelParams, gauge: GaugeParams, eps: EpsChoice) -> complex:
@@ -335,9 +368,8 @@ def sov_norm_const(params: ModelParams, gauge: GaugeParams, eps: EpsChoice) -> c
     beta = gauge.beta
     xs = list(params.xi)
     v = vdm_hat(xs)
-    v0 = vdm_hat([params.xi_shifted(n, 0) for n in range(1, N + 1)])
-    v1 = vdm_hat([params.xi_shifted(n, 1) for n in range(1, N + 1)])
-    out = (-1) ** N * v * v0 / v1
+    grid = params.xi_grid()
+    out = (-1) ** N * v * vdm_hat(grid[:, 0]) / vdm_hat(grid[:, 1])
     for j in range(1, N + 1):
         lam = eta / 2 - xs[j - 1]
         b_lam = np.exp(lam - eta / 2) * np.sinh(2 * lam - eta) \

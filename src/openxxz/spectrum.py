@@ -146,8 +146,7 @@ def verify_tau(tau: TauPoly, params: ModelParams, eps: EpsChoice):
 
 def q_discrete(tau: TauPoly, params: ModelParams, eps: EpsChoice):
     """Values of Q on the shifted-inhomogeneity grid, normalized per site."""
-    x0 = np.asarray(params.xi) + params.eta / 2   # xi_shifted(n, 0) for every n
-    x1 = x0 - params.eta                          # xi_shifted(n, 1)
+    x0, x1 = params.xi_grid().T
     a0 = big_a_eps(x0, eps, params)
     if np.any(np.abs(a0) < 1e-13):
         raise ValueError("vanishing normalization function on the grid")

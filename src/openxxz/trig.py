@@ -125,6 +125,10 @@ class ModelParams:
         """xi_n + eta/2 - h*eta for site n (1-based) and h in {0, 1}."""
         return self.xi[n - 1] + self.eta / 2 - h * self.eta
 
+    def xi_grid(self) -> np.ndarray:
+        """The shifted grid as an (N, 2) array: entry [n - 1, h] is xi_shifted(n, h)."""
+        return np.asarray(self.xi)[:, None] + self.eta / 2 - np.array([0, 1]) * self.eta
+
     def genericity_margin(self) -> float:
         """Smallest distance of xi_j^(hj) +/- xi_k^(hk) (j != k) to i*pi*Z."""
         pts = [self.xi_shifted(n, h) for n in range(1, self.N + 1) for h in (0, 1)]
@@ -186,8 +190,9 @@ class TrigPoly:
         return len(self.roots)
 
     def __call__(self, lam):
+        """The value at lam; an array of lam gives an array of its shape."""
         vs = varsigma(lam)
-        out = 1.0 + 0j
+        out = np.ones_like(vs, dtype=complex) if isinstance(vs, np.ndarray) else 1.0 + 0j
         for r in self.roots:
             out = out * (vs - varsigma(r))
         return out

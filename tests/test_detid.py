@@ -244,3 +244,51 @@ def test_a_functional_reports_collision():
     z = 0.61 + 0.22j
     with pytest.raises(ValueError):
         a_functional([z, z + 1e-300], f, ETA)
+
+
+def _point_set_loop(rng, n, eta, others=(), sep=0.08, max_phi=3e3, tries=500):
+    """The per-pair loop form of generic_point_set, kept as its reference."""
+    others = [varsigma(o) for o in others]
+    for _ in range(tries):
+        pts = list(rng.uniform(0.2, 1.3, n) + 1j * rng.uniform(-0.45, 0.45, n))
+        vs = [varsigma(p) for p in pts]
+        shifted = [varsigma(p + s * eta) for p in pts for s in (1, -1, 0.5, -0.5)]
+        ok = True
+        for i in range(n):
+            for j in range(i + 1, n):
+                if abs(vs[i] - vs[j]) < sep:
+                    ok = False
+        for sh in shifted:
+            for v in vs + others:
+                if abs(sh - v) < sep:
+                    ok = False
+        if ok and max_phi is not None and n > 0:
+            mags = [abs(phi_ratio(p, pts, eta)) for p in pts]
+            if max(mags) > max_phi or min(mags) < 1 / max_phi:
+                ok = False
+        if ok:
+            return pts
+    raise RuntimeError("could not sample a generic point set")
+
+
+def test_generic_point_set_matches_loop():
+    # same draws in the same order: equal points and equal generator states
+    found = 0
+    for seed in range(200):
+        draw = rng_for(seed, "point-set-pin")
+        n = int(draw.integers(0, 6))
+        eta = complex(draw.uniform(0.5, 0.9), draw.uniform(-0.25, 0.25))
+        others = rand_pts(draw, int(draw.integers(0, 4)))
+        sep = 0.08 if seed % 4 else 0.15
+        max_phi = None if seed % 7 == 0 else 3e3
+        outcomes = []
+        for sampler in (generic_point_set, _point_set_loop):
+            rng = rng_for(seed, "point-set")
+            try:
+                pts = sampler(rng, n, eta, others, sep=sep, max_phi=max_phi, tries=50)
+            except RuntimeError:
+                pts = None
+            outcomes.append((pts, rng.uniform()))
+        assert outcomes[0] == outcomes[1], seed
+        found += outcomes[0][0] is not None
+    assert found > 150

@@ -5,7 +5,7 @@ import pytest
 
 from openxxz.report import CheckRecord, VerificationReport, params_digest
 from openxxz.suites import RunConfig, _Recorder, homog_sweep, run_suite
-from openxxz.cli import main
+from openxxz.cli import _emit, main
 from openxxz.trig import random_params
 
 
@@ -66,6 +66,33 @@ def test_guard_records_the_exception():
     text = VerificationReport(list(rec.records)).to_jsonl()
     assert VerificationReport.from_jsonl(text).to_jsonl() == text
     assert json.loads(text.splitlines()[0])["error"] == broken.error
+
+
+def test_cli_summary_names_the_worst_case(capsys):
+    import argparse
+
+    r = make_report()
+    for case, residual, tol in (("z", 0.0, 1e-9), ("y", 0.0, 1e-9), ("x", 5.0, 0.0)):
+        r.add(CheckRecord(suite="t", case=case, residual=residual, tolerance=tol,
+                          passed=True, seed=3, n_sites=2, params_digest="abc"))
+    for case, residual in (("q", 1e-10), ("p", float("inf")), ("o", 3e-10)):
+        r.add(CheckRecord(suite="u", case=case, residual=residual, tolerance=1e-9,
+                          passed=residual < 1e-9, seed=3, n_sites=2, params_digest="abc"))
+    csv_before, jsonl_before = r.to_csv(), r.to_jsonl()
+    assert _emit(r, argparse.Namespace(out=None, format="json")) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "s              1/2   FAIL  worst residual/tolerance = 2.000e+00 (a)",
+        "t              3/3   pass  worst residual/tolerance = 0.000e+00 (x)",
+        "u              2/3   FAIL  worst residual/tolerance = inf (p)",
+    ]
+    assert r.summary() == {"s": (2, 1, 2e-9 / 1e-9), "t": (3, 3, 0.0),
+                           "u": (3, 2, float("inf"))}
+    assert r.to_csv() == csv_before == (
+        "suite,total,passed,failed,worst_residual_ratio\n"
+        "s,2,1,1,2.000000e+00\n"
+        "t,3,3,0,0.000000e+00\n"
+        "u,3,2,1,inf\n")
+    assert r.to_jsonl() == jsonl_before
 
 
 def test_params_digest_stable():

@@ -29,6 +29,7 @@ from openxxz.scalar import (
     sp_slavnov_gen,
     sp_sov,
     sp_thm52,
+    sov_matrix,
 )
 
 E0 = EpsChoice(1, 1, 1, 1)
@@ -484,3 +485,70 @@ def test_degree_zero_states(chain3):
             assert abs(s) < 1e-10 * scale
         else:
             assert abs(s - d) < 1e-9 * abs(d)
+
+
+def _sov_matrix_loop(q_spec, p_spec, params):
+    """The per-entry triple loop form of sov_matrix, kept as its reference.
+
+    Also returns the sum of the absolute terms of each entry, its rounding scale.
+    """
+    N = params.N
+    mat = np.zeros((N, N), dtype=complex)
+    scale = np.zeros((N, N))
+    for i in range(N):
+        lam0 = params.xi[i] + params.eta / 2
+        ratio = a_eps_small(lam0, p_spec.eps, params) \
+            / a_eps_small(lam0, q_spec.eps.flipped(), params)
+        for j in range(N):
+            for h in (0, 1):
+                w = (-ratio) ** h \
+                    * p_spec.poly(params.xi_shifted(i + 1, h)) \
+                    * q_spec.poly(params.xi_shifted(i + 1, h))
+                term = w * varsigma(params.xi_shifted(i + 1, 1 - h)) ** j
+                mat[i, j] += term
+                scale[i, j] += abs(term)
+    return mat, scale
+
+
+def test_sov_matrix_matches_loop():
+    rng = rng_for(3, "sov-matrix")
+    for N in (1, 3, 5):
+        params = random_params(N, seed=4)
+        for total in (0, N - 1, N + 2):
+            q, p = poly_pair(total, rng)
+            for eps_p in (E0, E1, E0.flipped()):
+                qs = SeparateStateSpec(q, E0, "left")
+                ps = SeparateStateSpec(p, eps_p, "right")
+                ref, scale = _sov_matrix_loop(qs, ps, params)
+                got = sov_matrix(qs, ps, params)
+                assert np.all(np.abs(got - ref) <= 1e-12 * scale), (N, total, eps_p)
+
+
+def test_f_eps_on_arrays_matches_scalar_calls(chain4):
+    params, _, _ = chain4
+    lams = np.array([0.63 + 0.27j, 1.11 - 0.35j, -0.42 + 0.8j, 0.2 - 0.05j])
+    for eps_p in (E0, E1, E0.flipped()):
+        aset = build_aset(E0, eps_p, params)
+        vals = f_eps(lams, aset, params)
+        assert vals.shape == lams.shape
+        for lam, val in zip(lams, vals):
+            ref = f_eps(lam, aset, params)
+            assert abs(val - ref) <= 1e-14 * abs(ref)
+        long_lams = lams.astype(np.clongdouble)
+        long_vals = f_eps(long_lams, aset, params)
+        assert long_vals.dtype == np.clongdouble
+        for lam, val in zip(long_lams, long_vals):
+            ref = f_eps(lam, aset, params)
+            assert abs(val - ref) <= 1e-17 * abs(ref)
+
+
+def test_separate_state_repeats_bit_for_bit():
+    # the first call builds the basis caches, the second reads them
+    params = random_params(3, seed=1)
+    gauge = solve_gauge(params.boundary_plus, 1, 1, params.eta)
+    q = TrigPoly(roots=(0.55 + 0.62j, 1.3 - 0.45j))
+    for side, bis in (("right", False), ("left", False), ("left", True)):
+        basis = SovBasis(params, gauge)
+        spec = SeparateStateSpec(q, E1, side)
+        first = separate_state(spec, basis, use_bis=bis)
+        assert np.array_equal(first, separate_state(spec, basis, use_bis=bis))

@@ -3,7 +3,7 @@ import pytest
 
 from openxxz.trig import TrigPoly, random_params, vdm_hat
 from openxxz.lattice import qdet_k_minus, qdet_k_plus, qdet_u_minus
-from openxxz.gauge import solve_gauge, sos_block, ad_plus
+from openxxz.gauge import solve_gauge, sos_block, ad_plus, s_chain
 from openxxz.sov import (
     ADMISSIBLE_EPS,
     EpsChoice,
@@ -19,6 +19,7 @@ from openxxz.sov import (
     h_index,
     identity_resolution_residual,
     sov_norm_const,
+    sov_state,
     sov_weights,
     u_weight,
     u_weight_product_form,
@@ -309,3 +310,52 @@ def test_construction_order_independence(setup3):
     v1 = d_ops[0] @ (d_ops[1] @ (d_ops[2] @ down))
     v2 = d_ops[2] @ (d_ops[1] @ (d_ops[0] @ down))
     assert np.max(np.abs(v1 - v2)) < 1e-10 * np.max(np.abs(v1))
+
+
+def test_sov_state_matches_weights_then_gauge():
+    # the cached dressed states and gauge against the weights-times-states
+    # formula followed by S (right) or S^{-1} (left)
+    poly = TrigPoly(roots=(0.7 + 0.4j, 1.1 - 0.3j, 0.9 + 0.6j))
+    for N in range(1, 7):
+        params = random_params(N, seed=5)
+        gauge = solve_gauge(params.boundary_plus, 1, 1, params.eta)
+        basis = SovBasis(params, gauge)
+        s = s_chain(params, gauge.beta, gauge.alpha)
+        qtab = poly(params.xi_grid())
+        for eps in ADMISSIBLE_EPS[:2]:
+            for side, bis in (("right", False), ("left", False), ("left", True)):
+                ones = sov_weights(np.ones((N, 2)), params, side, eps, bis)
+                assert np.array_equal(basis.dressed_states(side, eps, bis),
+                                      ones[:, None] * basis.states(side, eps))
+                vec = sov_weights(qtab, params, side, eps, bis) @ basis.states(side, eps)
+                expect = s @ vec if side == "right" else np.linalg.solve(s.T, vec)
+                got = sov_state(qtab, basis, side, eps, bis)
+                assert np.max(np.abs(got - expect)) < 1e-12 * np.max(np.abs(expect)), \
+                    (N, eps, side, bis)
+
+
+def test_basis_builds_gauge_and_norms_on_first_use(monkeypatch):
+    import openxxz.gauge
+    import openxxz.sov
+
+    calls = {"s_chain": 0, "sov_norm_const": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(openxxz.sov, "s_chain")
+    counted(openxxz.gauge, "s_chain")
+    counted(openxxz.sov, "sov_norm_const")
+    params = random_params(3, seed=1)
+    gauge = solve_gauge(params.boundary_plus, 1, 1, params.eta)
+    basis = SovBasis(params, gauge)
+    assert calls == {"s_chain": 0, "sov_norm_const": 0}
+    assert basis.chain_gauge is basis.chain_gauge
+    assert basis.norm_const(EPS0) == basis.norm_const(EPS0)
+    basis.norm_const(EpsChoice(1, -1, -1, 1))
+    assert calls == {"s_chain": 1, "sov_norm_const": 2}
