@@ -29,7 +29,7 @@ gauge = solve_gauge(params.boundary_plus, 1, 1, params.eta)
 taus = brute_spectrum(params)
 print(f"{len(taus)} eigenvalues from the dense diagonalization")
 print("\nspectral conditions for the first eigenvalue:")
-for name, res in verify_tau(taus[0], params, eps):
+for name, res in verify_tau([taus[0]], params, eps):
     print(f"  {name:20s} residual {res:.2e}")
 
 print("\ninhomogeneous T-Q solutions (generic boundary):")

@@ -12,6 +12,7 @@ becomes a direct sum of scalar evaluations over the S-eigenspaces.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,8 @@ from .lattice import (
 )
 
 _IPI = 1j * np.pi
+# index form of PERM4, the swap of the two legs of C^2 (x) C^2
+_SWAP = [0, 2, 1, 3]
 
 
 @dataclass(frozen=True)
@@ -44,28 +47,40 @@ class GaugeParams:
 
 
 def s_local(lam, beta, alpha, eta) -> np.ndarray:
-    """Local Vertex-IRF matrix S(lam | beta) with spectral shift alpha."""
-    return np.array([[np.exp(lam - eta * (beta + alpha)), np.exp(lam + eta * (beta - alpha))],
-                     [1, 1]], dtype=complex)
+    """Local Vertex-IRF matrix S(lam | beta) with spectral shift alpha.
+
+    For an array of beta the result stacks one 2x2 matrix per label."""
+    out = np.ones(np.shape(beta) + (2, 2), dtype=complex)
+    out[..., 0, 0] = np.exp(lam - eta * (beta + alpha))
+    out[..., 0, 1] = np.exp(lam + eta * (beta - alpha))
+    return out
 
 
 def s_local_inv(lam, beta, alpha, eta) -> np.ndarray:
     s = s_local(lam, beta, alpha, eta)
-    det = s[0, 0] - s[0, 1]
-    return np.array([[1, -s[0, 1]], [-1, s[0, 0]]], dtype=complex) / det
+    det = s[..., 0, 0] - s[..., 0, 1]
+    out = np.empty_like(s)
+    out[..., 0, 0], out[..., 0, 1] = 1, -s[..., 0, 1]
+    out[..., 1, 0], out[..., 1, 1] = -1, s[..., 0, 0]
+    return out / det[..., None, None]
 
 
 def r_sos(lam, beta, eta) -> np.ndarray:
-    """Trigonometric SOS (dynamical) R-matrix."""
+    """Trigonometric SOS (dynamical) R-matrix, stacked over an array of beta.
+
+    A scalar beta keeps numpy's scalar arithmetic, whose complex division
+    rounds differently from the array loop."""
     sb = np.sinh(eta * beta)
-    if abs(sb) < 1e-14:
+    if np.any(np.abs(sb) < 1e-14):
         raise ValueError("dynamical pole: sinh(eta*beta) = 0")
     sl, se, sle = np.sinh(lam), np.sinh(eta), np.sinh(lam + eta)
-    return np.array([
-        [sle, 0, 0, 0],
-        [0, np.sinh(eta * (beta + 1)) / sb * sl, np.sinh(lam + eta * beta) / sb * se, 0],
-        [0, np.sinh(eta * beta - lam) / sb * se, np.sinh(eta * (beta - 1)) / sb * sl, 0],
-        [0, 0, 0, sle]], dtype=complex)
+    out = np.zeros(np.shape(beta) + (4, 4), dtype=complex)
+    out[..., 0, 0] = out[..., 3, 3] = sle
+    out[..., 1, 1] = np.sinh(eta * (beta + 1)) / sb * sl
+    out[..., 1, 2] = np.sinh(lam + eta * beta) / sb * se
+    out[..., 2, 1] = np.sinh(eta * beta - lam) / sb * se
+    out[..., 2, 2] = np.sinh(eta * (beta - 1)) / sb * sl
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -73,14 +88,23 @@ def r_sos(lam, beta, eta) -> np.ndarray:
 # shift sum_{j>n} sigma_j^z is diagonal in the product basis.
 # ---------------------------------------------------------------------------
 
-def _sz_stack(mat_fn, nbits: int) -> np.ndarray:
-    """mat_fn(k) for each sigma^z configuration of nbits sites, in basis order,
-    with k the configuration's total sigma^z (bit 0 = up)."""
+@functools.lru_cache(maxsize=None)
+def _sz_index(nbits: int) -> np.ndarray:
+    """Index into the labels -nbits, -nbits+2, ..., nbits of each sigma^z
+    configuration of nbits sites, in basis order (bit 0 = up)."""
     sz = np.zeros(1, dtype=int)
     for _ in range(nbits):
         sz = np.concatenate([sz + 1, sz - 1])
-    mats = np.array([mat_fn(k) for k in range(-nbits, nbits + 1, 2)])
-    return mats[(sz + nbits) // 2]
+    idx = (sz + nbits) // 2
+    idx.flags.writeable = False
+    return idx
+
+
+def _sz_stack(mat_fn, nbits: int) -> np.ndarray:
+    """mat_fn(k) for each sigma^z configuration of nbits sites, in basis order,
+    with k the configuration's total sigma^z; mat_fn is called once, on the
+    array of the nbits + 1 distinct values of k."""
+    return mat_fn(np.arange(-nbits, nbits + 1, 2))[_sz_index(nbits)]
 
 
 def _aux_diag(stack) -> AuxOp:
@@ -120,10 +144,10 @@ def m_sos(lam, params: ModelParams, beta) -> AuxOp:
     N, eta = params.N, params.eta
     out = AuxOp.identity(2 ** N)
     for n in range(N, 0, -1):
-        # PERM4 moves the site leg of R_{n0} second, as apply_local expects
-        out = apply_local(out, _sz_stack(
-            lambda k: PERM4 @ r_sos(lam - params.xi[n - 1] - eta / 2, beta + k, eta) @ PERM4,
-            N - n), n)
+        r = _sz_stack(lambda k: r_sos(lam - params.xi[n - 1] - eta / 2, beta + k, eta), N - n)
+        # swapping the two legs moves the site leg of R_{n0} second, as
+        # apply_local expects
+        out = apply_local(out, r[:, _SWAP][:, :, _SWAP], n)
     return out
 
 
@@ -184,7 +208,8 @@ def _sos_blocks(names, lam, label, params: ModelParams, gauge: GaugeParams) -> l
 
 
 def k_sos_minus(lam, beta, params: ModelParams, alpha) -> np.ndarray:
-    """Gauged scalar boundary matrix S_0^{-1}(-lam+eta/2) K_-(lam) S_0(lam-eta/2)."""
+    """Gauged scalar boundary matrix S_0^{-1}(-lam+eta/2) K_-(lam) S_0(lam-eta/2),
+    stacked over an array of beta."""
     eta = params.eta
     return s_local_inv(-lam + eta / 2, beta, alpha, eta) @ kmat_minus(lam, params) \
         @ s_local(lam - eta / 2, beta, alpha, eta)

@@ -111,8 +111,11 @@ def apply_local(op, factor, n: int):
     a stack with one such matrix per sigma^z configuration of the sites right
     of n (shape (2^(N-n), k, k), configurations in basis order), each applied
     on its own configuration: the dynamical SOS case.  The column index splits
-    into (aux, left sites, site n, right sites) and one contraction does the
-    product, O(size of op) work instead of a dense matmul.
+    into (aux, left sites, site n, right sites); moved to (right sites,
+    aux x site n, rows x left sites), the transposed product is one batched
+    matmul F^T @ op^T, O(size of op) work instead of a dense matmul.  It is
+    the operand order ``np.einsum(..., optimize=True)`` uses for the same
+    contraction; the tests pin the two to the last bit.
     """
     aux = isinstance(op, AuxOp)
     mat = op.full() if aux else op
@@ -120,10 +123,9 @@ def apply_local(op, factor, n: int):
     a = 2 if aux else 1
     left = 2 ** (n - 1)
     right = cols // (2 * a * left)
-    stack = np.broadcast_to(factor, (right, 2 * a, 2 * a)).reshape(right, a, 2, a, 2)
-    out = np.einsum("ibltc,cbtus->iulsc", mat.reshape(rows, a, left, 2, right), stack,
-                    optimize=True)
-    out = out.reshape(rows, cols)
+    m = mat.reshape(rows, a, left, 2, right).transpose(4, 1, 3, 0, 2)
+    out = np.swapaxes(factor, -1, -2) @ m.reshape(right, 2 * a, rows * left)
+    out = out.reshape(right, a, 2, rows, left).transpose(3, 1, 4, 2, 0).reshape(rows, cols)
     return AuxOp.from_full(out) if aux else out
 
 

@@ -319,11 +319,7 @@ def suite_spectrum(config: RunConfig) -> list:
 
     rec.add("eigenvalue-count", 0.0 if len(taus) == 2 ** params.N else 1.0)
 
-    worst = {}
-    for tau in taus:
-        for name, res in verify_tau(tau, params, eps):
-            worst[name] = max(worst.get(name, 0.0), res)
-    for name, res in worst.items():
+    for name, res in verify_tau(taus, params, eps):
         rec.add(f"tau-{name}", res)
 
     def eigenvectors():

@@ -207,7 +207,7 @@ def test_criterion_06_spectrum():
     assert len(taus) == 16
     worst = 0.0
     for tau in taus:
-        for _, res in verify_tau(tau, params, E0):
+        for _, res in verify_tau([tau], params, E0):
             worst = max(worst, res)
         for side in ("right", "left"):
             vec = sov_eigenvector(tau, params, gauge, E0, side, basis)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from openxxz import gauge as gauge_mod
 from openxxz.trig import random_params, rng_for
 from openxxz.lattice import AuxOp, bulk_monodromy, r6v, rel_residual, site_op, transfer, u_minus
 from openxxz.gauge import (
@@ -67,6 +68,52 @@ def test_r_sos_corners_and_pole():
     assert r[3, 3] == pytest.approx(np.sinh(lam + eta))
     with pytest.raises(ValueError):
         r_sos(lam, 1j * np.pi / eta, eta)
+
+
+def test_array_labels_match_scalar_calls(setup5):
+    params, gauge = setup5
+    eta, alpha = params.eta, gauge.alpha
+    lam = 0.61 - 0.13j
+    labels = gauge.beta + np.arange(-6, 7)
+    for fn in (lambda b: r_sos(lam, b, eta),
+               lambda b: s_local(lam, b, alpha, eta),
+               lambda b: s_local_inv(lam, b, alpha, eta),
+               lambda b: k_sos_minus(lam, b, params, alpha)):
+        stack = fn(labels)
+        for label, mat in zip(labels, stack, strict=True):
+            ref = fn(complex(label))
+            assert mat.shape == ref.shape
+            assert np.max(np.abs(mat - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_r_sos_pole_on_any_label():
+    lam, eta = 0.4 + 0.2j, 0.8 - 0.1j
+    with pytest.raises(ValueError):
+        r_sos(lam, np.array([0.7 + 0.15j, 1j * np.pi / eta, 1.3]), eta)
+
+
+def _per_label_sz_stack(mat_fn, nbits):
+    """The earlier form of gauge._sz_stack: one mat_fn call per label."""
+    sz = np.zeros(1, dtype=int)
+    for _ in range(nbits):
+        sz = np.concatenate([sz + 1, sz - 1])
+    mats = np.array([mat_fn(k) for k in range(-nbits, nbits + 1, 2)])
+    return mats[(sz + nbits) // 2]
+
+
+def test_sos_blocks_match_per_label_stacks(setup5, monkeypatch):
+    params, gauge = setup5
+    lam = 0.53 + 0.11j
+    labels = (gauge.beta - 1, gauge.beta + 1)
+    got = [u_sos(lam, params, label, gauge).blocks for label in labels]
+    monkeypatch.setattr(gauge_mod, "_sz_stack", _per_label_sz_stack)
+    ref = [u_sos(lam, params, label, gauge).blocks for label in labels]
+    for g, r in zip(got, ref):
+        for a in range(2):
+            for b in range(2):
+                # the same exact zeros, from S^z conservation
+                assert np.array_equal(g[a, b] == 0, r[a, b] == 0)
+                assert np.max(np.abs(g[a, b] - r[a, b])) <= 1e-13 * np.max(np.abs(r[a, b]))
 
 
 def test_vertex_irf_relations():

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from openxxz import lattice
 from openxxz.trig import random_params, rng_for, varsigma
+from openxxz.spectrum import brute_spectrum
 from openxxz.lattice import (
     AuxOp,
     SZ,
+    apply_local,
     bulk_monodromy,
     hamiltonian,
     kmat_generic,
@@ -281,3 +284,48 @@ def test_hamiltonian_hermitian_for_real_fields():
                           boundary_minus=bm2, boundary_plus=bp2)
     h2 = hamiltonian(params2, "direct")
     assert np.linalg.norm(h2.imag) < 1e-12
+
+
+def _einsum_apply_local(op, factor, n):
+    """The earlier form of apply_local, one einsum per factor: the reference."""
+    aux = isinstance(op, AuxOp)
+    mat = op.full() if aux else op
+    rows, cols = mat.shape
+    a = 2 if aux else 1
+    left = 2 ** (n - 1)
+    right = cols // (2 * a * left)
+    stack = np.broadcast_to(factor, (right, 2 * a, 2 * a)).reshape(right, a, 2, a, 2)
+    out = np.einsum("ibltc,cbtus->iulsc", mat.reshape(rows, a, left, 2, right), stack,
+                    optimize=True)
+    out = out.reshape(rows, cols)
+    return AuxOp.from_full(out) if aux else out
+
+
+def test_apply_local_matches_einsum_bitwise():
+    rng = rng_for(31, "apply-local")
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for N in range(1, 8):
+        dim = 2 ** N
+        for n in range(1, N + 1):
+            for op, k in ((cplx(dim, dim), 2), (AuxOp(cplx(2, 2, dim, dim)), 4)):
+                for factor in (cplx(k, k), cplx(2 ** (N - n), k, k)):
+                    got = apply_local(op, factor, n)
+                    ref = _einsum_apply_local(op, factor, n)
+                    if isinstance(op, AuxOp):
+                        got, ref = got.full(), ref.full()
+                    assert np.array_equal(got, ref), (N, n, k, factor.ndim)
+
+
+@pytest.mark.parametrize("N, seed", [(3, 1), (5, 35)])
+def test_brute_spectrum_bitwise_against_einsum_kernel(monkeypatch, N, seed):
+    params = random_params(N, seed=seed)
+    got = brute_spectrum(params)
+    monkeypatch.setattr(lattice, "apply_local", _einsum_apply_local)
+    ref = brute_spectrum(params)
+    for g, r in zip(got, ref, strict=True):
+        assert np.array_equal(g.coeffs, r.coeffs)
+        assert np.array_equal(g.eigvec_right, r.eigvec_right)
+        assert np.array_equal(g.eigvec_left, r.eigvec_left)

@@ -52,8 +52,56 @@ def test_single_site_spectrum_matches_direct():
 def test_verify_tau_all_items(setup3):
     params, _, taus = setup3
     for tau in taus:
-        for name, res in verify_tau(tau, params, EPS0):
+        for name, res in verify_tau([tau], params, EPS0):
             assert res < 1e-8, f"{name}: {res}"
+
+
+def _verify_tau_one(tau, params):
+    """The earlier per-eigenvalue form of verify_tau: the reference."""
+    from openxxz.lattice import qdet_m, transfer
+    from openxxz.spectrum import sov_quadratic_rhs
+
+    N, eta = params.N, params.eta
+    out = []
+    res = 0.0
+    for lam in (0.52 + 0.23j, 1.11 - 0.17j, 0.77 + 0.31j):
+        tmat = transfer(lam, params)
+        ev = tau.eigvec_left @ tmat @ tau.eigvec_right \
+            / (tau.eigvec_left @ tau.eigvec_right)
+        res = max(res, abs(tau(lam) - ev) / abs(ev))
+    out.append(("degree-interp", res))
+    expected = tau_leading_coeff(params)
+    out.append(("asymptotics", abs(tau.coeffs[-1] - expected) / abs(expected)))
+    v1 = 2 * (-1) ** N * np.cosh(eta) * qdet_m(0, params)
+    v2 = -2 * np.cosh(eta) * qdet_m(1j * np.pi / 2, params) \
+        / (np.tanh(params.boundary_plus.sigma) * np.tanh(params.boundary_minus.sigma))
+    out.append(("value-eta/2", abs(tau(eta / 2) - v1) / abs(v1)))
+    out.append(("value-eta/2+ipi/2", abs(tau(eta / 2 + 1j * np.pi / 2) - v2) / abs(v2)))
+    res = 0.0
+    for n in range(1, N + 1):
+        lhs = tau(params.xi[n - 1] + eta / 2) * tau(params.xi[n - 1] - eta / 2)
+        rhs = sov_quadratic_rhs(n, params)
+        res = max(res, abs(lhs - rhs) / abs(rhs))
+    out.append(("quadratic", res))
+    return out
+
+
+def test_verify_tau_whole_spectrum(setup3, monkeypatch):
+    from openxxz import spectrum
+    params, _, taus = setup3
+    worst = {}
+    for tau in taus:
+        for name, res in _verify_tau_one(tau, params):
+            worst[name] = max(worst.get(name, 0.0), res)
+
+    calls = []
+    real_transfer = spectrum.transfer
+    monkeypatch.setattr(spectrum, "transfer",
+                        lambda lam, p: calls.append(lam) or real_transfer(lam, p))
+    got = verify_tau(taus, params, EPS0)
+    assert len(calls) == 3
+    assert [name for name, _ in got] == list(worst)
+    assert dict(got) == worst
 
 
 def test_verify_tau_detects_perturbation(setup3):
@@ -62,7 +110,7 @@ def test_verify_tau_detects_perturbation(setup3):
     coeffs = list(taus[0].coeffs)
     coeffs[1] *= 1 + 1e-3
     bad = replace(taus[0], coeffs=tuple(coeffs))
-    worst = dict(verify_tau(bad, params, EPS0))
+    worst = dict(verify_tau([bad], params, EPS0))
     assert worst["quadratic"] > 1e-6
 
 
