@@ -7,8 +7,6 @@ homogeneous one once the boundary parameters satisfy the degree-N
 constraint; its roots are the Bethe roots.
 """
 
-import numpy as np
-
 from openxxz.trig import random_params
 from openxxz.sov import EpsChoice, SovBasis
 from openxxz.gauge import solve_gauge
@@ -41,7 +39,7 @@ for tau in taus[:4]:
 print("\nSoV eigenvectors against the dense eigenvectors:")
 basis = SovBasis(params, gauge)
 for tau in taus[:4]:
-    vec = sov_eigenvector(tau, params, gauge, eps, "right", basis)
+    vec = sov_eigenvector(tau, basis, eps, "right")
     print(f"  label {tau.label}: eigen-residual "
           f"{eigen_residual([tau], [vec], params, 'right'):.2e}")
 

@@ -442,10 +442,10 @@ def check_identity_E(variant: int, f, g, x_set, y_set, eta):
 # Random handles for the generic checks.
 # ---------------------------------------------------------------------------
 
-def random_fn_handle(rng, eta, npoles: int | None = None):
+def random_fn_handle(rng, eta):
     """Low-order rational-trig handle with poles well off the sampling region."""
     nzeros = int(rng.integers(1, 4))
-    npoles = int(rng.integers(0, 3)) if npoles is None else npoles
+    npoles = int(rng.integers(0, 3))
     w = rng.uniform(0.2, 1.2, nzeros) + 1j * rng.uniform(-0.5, 0.5, nzeros)
     v = rng.uniform(2.0, 3.0, npoles) + 1j * rng.uniform(0.6, 1.4, npoles)
     c = complex(rng.normal(), rng.normal())
@@ -539,11 +539,11 @@ def trig_lagrange(nodes, values):
     return f
 
 
-def onshell_handle_family(rng, x_set, eta, extra: int = 2):
+def onshell_handle_family(rng, x_set, eta):
     """A generic handle exactly on-shell for x_set.
 
     Random values are prescribed at the x nodes, the mirrored values
-    f(-x_k) = phi(x_k) f(x_k) enforce the on-shell system exactly, and a few
+    f(-x_k) = phi(x_k) f(x_k) enforce the on-shell system exactly, and two
     extra nodes keep the interpolant generic.
     """
     x_set = list(x_set)
@@ -551,7 +551,7 @@ def onshell_handle_family(rng, x_set, eta, extra: int = 2):
     mirror = [v * phi_ratio(xk, x_set, eta) for xk, v in zip(x_set, vals)]
     nodes = x_set + [-xk for xk in x_set]
     values = list(vals) + mirror
-    for _ in range(extra):
+    for _ in range(2):
         nodes.append(complex(rng.uniform(1.6, 2.2), rng.uniform(0.6, 1.0)))
         values.append(complex(rng.normal(), rng.normal()))
     return trig_lagrange(nodes, values)

@@ -23,15 +23,15 @@ from .lattice import (
     AuxOp,
     ID2,
     apply_local,
-    embed_aux_pair,
     kmat_minus,
     kmat_plus,
     rel_residual,
-    transfer,
     u_minus,
 )
 
 _IPI = 1j * np.pi
+# smallest distance of beta from the integers and of eta beta from i pi Z
+GAUGE_DELTA_MIN = 1e-2
 # index form of PERM4, the swap of the two legs of C^2 (x) C^2
 _SWAP = [0, 2, 1, 3]
 
@@ -125,18 +125,17 @@ def s_chain(params: ModelParams, beta, alpha) -> np.ndarray:
     return out
 
 
-def s_chain_aux(params: ModelParams, beta, alpha, sign: int = 1) -> AuxOp:
+def s_chain_aux(params: ModelParams, beta, alpha) -> AuxOp:
     """S_{1...N}({xi} | beta + sigma_0^z), block diagonal in the aux space."""
-    up = s_chain(params, beta + sign, alpha)
-    dn = s_chain(params, beta - sign, alpha)
+    up = s_chain(params, beta + 1, alpha)
+    dn = s_chain(params, beta - 1, alpha)
     z = np.zeros_like(up)
     return AuxOp([[up, z], [z, dn]])
 
 
-def s_aux_dyn(lam, beta, alpha, params: ModelParams, inverse: bool = False) -> AuxOp:
+def s_aux_dyn(lam, beta, alpha, params: ModelParams) -> AuxOp:
     """S_0(lam | beta + S^z): scalar gauge matrix with shift by the total spin."""
-    s_fn = s_local_inv if inverse else s_local
-    return _aux_diag(_sz_stack(lambda k: s_fn(lam, beta + k, alpha, params.eta), params.N))
+    return _aux_diag(_sz_stack(lambda k: s_local(lam, beta + k, alpha, params.eta), params.N))
 
 
 def m_sos(lam, params: ModelParams, beta) -> AuxOp:
@@ -270,7 +269,7 @@ def ad_plus(lam, boundary_plus: BoundaryParams, eps_plus: int, eta):
 
 
 def solve_gauge(boundary_plus: BoundaryParams, eps_plus: int, eps_plus_prime: int,
-                eta, delta_min: float = 1e-2) -> GaugeParams:
+                eta) -> GaugeParams:
     """Gauge parameters (alpha, beta) making the gauged K_+ diagonal.
 
     The two defining conditions are only invariant under *joint* i*pi shifts
@@ -302,19 +301,18 @@ def solve_gauge(boundary_plus: BoundaryParams, eps_plus: int, eps_plus_prime: in
     _, alpha, beta = best
     gauge = GaugeParams(alpha=complex(alpha), beta=complex(beta),
                         eps_plus=ep, eps_plus_prime=epp)
-    if abs(beta - round(beta.real)) < delta_min \
-            or dist_to_ipi_lattice(eta * beta) < delta_min:
+    if abs(beta - round(beta.real)) < GAUGE_DELTA_MIN \
+            or dist_to_ipi_lattice(eta * beta) < GAUGE_DELTA_MIN:
         # mixed-sign branches (eps_plus != eps_plus_prime) always land here:
         # the two diagonality conditions then force eta*beta into i*pi*Z
         raise ValueError("gauge beta degenerate on this eps branch; retry with others")
     return gauge
 
 
-def gauge_is_safe(gauge: GaugeParams, params: ModelParams, margin: float = None) -> bool:
+def gauge_is_safe(gauge: GaugeParams, params: ModelParams) -> bool:
     """No dynamical pole sinh(eta(beta+k)) ~ 0 for the shifts this chain uses."""
-    margin = params.delta_min if margin is None else margin
     for k in range(-params.N - 2, params.N + 3):
-        if dist_to_ipi_lattice(params.eta * (gauge.beta + k)) < margin:
+        if dist_to_ipi_lattice(params.eta * (gauge.beta + k)) < params.delta_min:
             return False
     return True
 
@@ -429,35 +427,6 @@ def virf_mhat_residual(lam, params: ModelParams, gauge: GaugeParams) -> float:
     rhs_right = s_aux_dyn(lam - eta / 2, beta, alpha, params) @ mhat_sos(lam, params, beta)
     rhs = AuxOp(schain @ rhs_right.blocks)
     return rel_residual(lhs.full(), rhs.full())
-
-
-def dyn_reflection_residual(lam, mu, params: ModelParams, gauge: GaugeParams,
-                            form: str = "sos") -> float:
-    """Dynamical reflection-equation residual on aux1 x aux2 x H."""
-    beta = gauge.beta
-    eta = params.eta
-    dim = 2 ** params.N
-
-    def u_at(lamv, label):
-        if form == "sos":
-            return u_sos(lamv, params, label, gauge)
-        return u_tilde(lamv, params, label, gauge.alpha)
-
-    def r12(r4):
-        return np.kron(r4, np.eye(dim, dtype=complex))
-
-    def r21(r4):
-        return np.kron(PERM4 @ r4 @ PERM4, np.eye(dim, dtype=complex))
-
-    u1 = embed_aux_pair(lambda c: u_at(lam, beta + (1 - 2 * c)), 1)
-    u2 = embed_aux_pair(lambda c: u_at(mu, beta + (1 - 2 * c)), 2)
-    r_lm_21 = r21(r_sos(lam - mu, beta, eta))
-    r_lm_12 = r12(r_sos(lam - mu, beta, eta))
-    r_lpm_21 = r21(r_sos(lam + mu - eta, beta, eta))
-    r_lpm_12 = r12(r_sos(lam + mu - eta, beta, eta))
-    lhs = r_lm_21 @ u1 @ r_lpm_12 @ u2
-    rhs = u2 @ r_lpm_21 @ u1 @ r_lm_12
-    return rel_residual(lhs, rhs)
 
 
 def verify_sos_algebra(params: ModelParams, gauge: GaugeParams, seed: int = 0):

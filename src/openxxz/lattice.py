@@ -60,12 +60,6 @@ class AuxOp:
     def __matmul__(self, other: "AuxOp") -> "AuxOp":
         return AuxOp.from_full(self.full() @ other.full())
 
-    def __add__(self, other: "AuxOp") -> "AuxOp":
-        return AuxOp(self.blocks + other.blocks)
-
-    def __sub__(self, other: "AuxOp") -> "AuxOp":
-        return AuxOp(self.blocks - other.blocks)
-
     def __mul__(self, scalar) -> "AuxOp":
         return AuxOp(self.blocks * scalar)
 
@@ -304,25 +298,13 @@ def yang_baxter_residual(lam, mu, eta) -> float:
     return rel_residual(lhs, rhs)
 
 
-def reflection_residual_scalar(lam, mu, sigma, kappa, tau, eta) -> float:
-    """Reflection-equation residual for the scalar K matrix (4x4 check)."""
-    k1 = np.kron(kmat_generic(lam, sigma, kappa, tau, eta), ID2)
-    k2 = np.kron(ID2, kmat_generic(mu, sigma, kappa, tau, eta))
-    r_lm = r6v(lam - mu, eta)
-    r_lpm = r6v(lam + mu - eta, eta)
-    # R21 = R12 for the symmetric 6-vertex matrix
-    lhs = r_lm @ k1 @ r_lpm @ k2
-    rhs = k2 @ r_lpm @ k1 @ r_lm
-    return rel_residual(lhs, rhs)
-
-
-def embed_aux_pair(op_at, slot: int) -> np.ndarray:
+def embed_aux_pair(op, slot: int) -> np.ndarray:
     """Dense aux1 x aux2 x H matrix of an AuxOp acting on aux space ``slot`` (1 or 2).
 
-    ``op_at(c)`` is the operator while the other aux space is in its sigma^z
-    state c (0 or 1); it is constant for a non-dynamical operator.
+    A dynamical operator comes as the pair of AuxOps it is while the other
+    aux space is in its sigma^z state 0 and 1.
     """
-    ops = [op_at(0), op_at(1)]
+    ops = (op, op) if isinstance(op, AuxOp) else op
     full = np.zeros((4 * ops[0].dim, 4 * ops[0].dim), dtype=complex)
     for c, op in enumerate(ops):
         proj = np.zeros((2, 2), dtype=complex)
@@ -336,20 +318,23 @@ def embed_aux_pair(op_at, slot: int) -> np.ndarray:
     return full
 
 
-def reflection_residual_operator(lam, mu, params: ModelParams) -> float:
-    """Reflection-equation residual for U_-(lam) on aux1 x aux2 x H."""
-    dim = 2 ** params.N
+def reflection_residual(lam, mu, eta, r_at, u_at) -> float:
+    """Residual of R21(l-m) U1(l) R12(l+m-eta) U2(m) = U2(m) R21(l+m-eta) U1(l) R12(l-m).
 
-    def r12(r4):
-        return np.kron(r4, np.eye(dim, dtype=complex))
+    On aux1 x aux2 x H: ``r_at(x)`` is the 4x4 R12(x), with R21 = P R12 P,
+    and ``u_at(x)`` is U(x) as ``embed_aux_pair`` takes it.  A scalar K
+    matrix enters as an AuxOp of 1x1 blocks.
+    """
+    u1 = embed_aux_pair(u_at(lam), 1)
+    u2 = embed_aux_pair(u_at(mu), 2)
+    eye = np.eye(u1.shape[0] // 4, dtype=complex)
+    r_lm, r_lpm = r_at(lam - mu), r_at(lam + mu - eta)
 
-    u_lam, u_mu = u_minus(lam, params), u_minus(mu, params)
-    u1 = embed_aux_pair(lambda c: u_lam, 1)
-    u2 = embed_aux_pair(lambda c: u_mu, 2)
-    r_lm = r12(r6v(lam - mu, params.eta))
-    r_lpm = r12(r6v(lam + mu - params.eta, params.eta))
-    lhs = r_lm @ u1 @ r_lpm @ u2
-    rhs = u2 @ r_lpm @ u1 @ r_lm
+    def r21(r4):
+        return np.kron(PERM4 @ r4 @ PERM4, eye)
+
+    lhs = r21(r_lm) @ u1 @ np.kron(r_lpm, eye) @ u2
+    rhs = u2 @ r21(r_lpm) @ u1 @ np.kron(r_lm, eye)
     return rel_residual(lhs, rhs)
 
 

@@ -127,16 +127,6 @@ class _MpModel:
         r[1, 2] = r[2, 1] = mp.sinh(self.eta)
         return r
 
-    def r_sos(self, lam, beta):
-        sb = mp.sinh(self.eta * beta)
-        r = _zeros(4, 4)
-        r[0, 0] = r[3, 3] = mp.sinh(lam + self.eta)
-        r[1, 1] = mp.sinh(self.eta * (beta + 1)) / sb * mp.sinh(lam)
-        r[1, 2] = mp.sinh(lam + self.eta * beta) / sb * mp.sinh(self.eta)
-        r[2, 1] = mp.sinh(self.eta * beta - lam) / sb * mp.sinh(self.eta)
-        r[2, 2] = mp.sinh(self.eta * (beta - 1)) / sb * mp.sinh(lam)
-        return r
-
     def s_local(self, lam, beta):
         s = _zeros(2, 2)
         s[0, 0] = mp.exp(lam - self.eta * (beta + self.alpha))
@@ -252,29 +242,28 @@ class _MpModel:
             out = out * factor
         return out
 
-    def sos_block(self, name, lam, label):
-        entry = self.u_tilde_block(name, lam, label)
-        lshift = 1 if name in ("A", "B") else -1
-        rshift = 1 if name in ("A", "C") else -1
-        sl = self.s_chain(label + lshift)
-        sr = sl if rshift == lshift else self.s_chain(label + rshift)
-        return sl ** -1 * (entry * sr)
+
+# working precision of the mirror, in decimal digits
+DPS = 40
 
 
-def sp_direct_mp(q_spec, p_spec, params: ModelParams, gauge: GaugeParams,
-                 dps: int = 40) -> complex:
-    """Dense bilinear contraction of two separate states at dps digits."""
+def sp_direct_mp(q_spec, p_spec, params: ModelParams, gauge: GaugeParams) -> complex:
+    """Dense bilinear contraction of two separate states at DPS digits."""
     from .sov import all_h
 
-    with mp.workdps(dps):
+    with mp.workdps(DPS):
         model = _MpModel(params, gauge)
         N, dim = model.N, model.dim
         eta = model.eta
 
-        d_ops = [model.sos_block("D", model.xi[j] + eta / 2, model.beta + 1)
+        # S(beta) D^SOS S(beta)^-1 and S(beta) A^SOS S(beta)^-1 are the tilde
+        # blocks, so the states are built on S(beta)|0> and <0|S(beta)^-1
+        d_ops = [model.u_tilde_block("D", model.xi[j] + eta / 2, model.beta + 1)
                  for j in range(N)]
-        a_ops = [model.sos_block("A", eta / 2 - model.xi[j], model.beta - 1)
+        a_ops = [model.u_tilde_block("A", eta / 2 - model.xi[j], model.beta - 1)
                  for j in range(N)]
+        s_chain = model.s_chain(model.beta)
+        s_inv = s_chain ** -1
 
         def k_fac(j):
             return mp.sinh(2 * model.xi[j] + eta) / mp.sinh(2 * model.xi[j] - eta)
@@ -300,8 +289,7 @@ def sp_direct_mp(q_spec, p_spec, params: ModelParams, gauge: GaugeParams,
                     for j in range(N)]
         right = mp.matrix(dim, 1)
         for h in all_h(N):
-            vec = mp.matrix(dim, 1)
-            vec[dim - 1] = mp.mpc(1)
+            vec = s_chain[:, dim - 1]
             scale = mp.mpc(1)
             for j in range(N - 1, -1, -1):
                 if h[j] == 1:
@@ -313,15 +301,14 @@ def sp_direct_mp(q_spec, p_spec, params: ModelParams, gauge: GaugeParams,
             w *= mp.exp(-sum((h[j] * model.xi[j] for j in range(N)), mp.mpc(0)))
             w *= model.vdm([model.xi_shift(n + 1, h[n]) for n in range(N)])
             right += (w * scale) * vec
-        right = model.s_chain(model.beta) * right / model.norm_const(p_spec.eps)
+        right = right / model.norm_const(p_spec.eps)
 
         # left state for q_spec
         a_norm_q = [model.a_minus_norm(eta / 2 - model.xi[j], q_spec.eps)
                     for j in range(N)]
         left = mp.matrix(1, dim)
         for h in all_h(N):
-            row = mp.matrix(1, dim)
-            row[0] = mp.mpc(1)
+            row = s_inv[0, :]
             scale = mp.mpc(1)
             for j in range(N):
                 if h[j] == 0:
@@ -335,8 +322,7 @@ def sp_direct_mp(q_spec, p_spec, params: ModelParams, gauge: GaugeParams,
             w *= mp.exp(-sum((h[j] * model.xi[j] for j in range(N)), mp.mpc(0)))
             w *= model.vdm([model.xi_shift(n + 1, h[n]) for n in range(N)])
             left += (w * scale) * row
-        s_inv = model.s_chain(model.beta) ** -1
-        left = left * s_inv / model.norm_const(q_spec.eps)
+        left = left / model.norm_const(q_spec.eps)
 
         out = (left * right)[0]
         return complex(out)

@@ -27,7 +27,8 @@ from .sov import (
     sov_state,
     sov_weights,
 )
-from .detid import VsRational, a_functional_values, fbar_j, g_levels, level_handle, x_weights
+from .detid import (VsRational, a_functional_values, fbar_j, functional_matrix, g_levels,
+                    level_handle, x_weights)
 
 Poly = np.polynomial.polynomial
 
@@ -240,6 +241,13 @@ def gamma_prefactor(aset: ASet, total_degree: int, params: ModelParams) -> compl
     return complex(out)
 
 
+def _exchange_prefactor(aset: ASet, eps_p: EpsChoice, total_degree: int, gam,
+                        params: ModelParams, gauge: GaugeParams) -> complex:
+    """(-1)^{N n} z_beta zbar gamma, the prefactor of every determinant form."""
+    return (-1) ** (params.N * total_degree) * z_beta(params, gauge) \
+        * z_bar(aset, eps_p, params, gauge) * gam
+
+
 def sp_thm52(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
              params: ModelParams, gauge: GaugeParams,
              a_tilde=DEFAULT_A_TILDE):
@@ -263,8 +271,7 @@ def sp_thm52(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
     gz = g(zs) if g is not None else 0.0
     afun = a_functional_values(zs, f_eps(zs, aset, params), f_eps(-zs, aset, params),
                                gz, params.eta)
-    val = (-1) ** (params.N * n_tot) * z_beta(params, gauge) \
-        * z_bar(aset, eps_p, params, gauge) * gam * afun
+    val = _exchange_prefactor(aset, eps_p, n_tot, gam, params, gauge) * afun
     return complex(val), False
 
 
@@ -272,40 +279,63 @@ def sp_thm52(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
 # On-shell forms: Slavnov, Gaudin, and the rank-one-corrected rectangle.
 # ---------------------------------------------------------------------------
 
+def _onshell_frame(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
+                   params: ModelParams, gauge: GaugeParams):
+    """Set-up shared by the on-shell forms (gaudin_norm passes p = q).
+
+    Returns the roots q and p as clongdouble arrays, the a-set, g, Q and the
+    prefactor (-1)^{N n} z_beta zbar gamma vdm(q - eta/2) / vdm(q + eta/2)
+    / (vdm(q reversed) vdm(p)), with n the total root count.
+    """
+    eps = q_spec.eps
+    if eps != p_spec.eps:
+        raise ValueError("the jacobian form is stated for matching sign branches")
+    q = np.array(q_spec.poly.roots, dtype=np.clongdouble)
+    p = np.array(p_spec.poly.roots, dtype=np.clongdouble)
+    eta = np.clongdouble(params.eta)
+    n_tot = len(q) + len(p)
+    aset = build_aset(eps, eps, params)
+    pref = _exchange_prefactor(aset, eps, n_tot, gamma_prefactor(aset, n_tot, params),
+                               params, gauge) \
+        * vdm_hat(q - eta / 2) / vdm_hat(q + eta / 2) / (vdm_hat(q[::-1]) * vdm_hat(p))
+    return q, p, aset, g_eps_handle(n_tot, aset, params), TrigPoly(tuple(q)), pref
+
+
+def _tq_table(p, qpoly: TrigPoly, eps: EpsChoice, params: ModelParams):
+    """Q(p), A(p) Q(p - eta) and A(-p) Q(p + eta) on an array of roots p."""
+    eta = np.clongdouble(params.eta)
+    return qpoly(p), big_a_eps(p, eps, params) * qpoly(p - eta), \
+        big_a_eps(-p, eps, params) * qpoly(p + eta)
+
+
+def _jacobian(p, q, table, eta) -> np.ndarray:
+    """slavnov_matrix from the T-Q table of p, with tau(p) Q(p) the sum of its terms."""
+    qp, t_minus, t_plus = table
+    if np.any(np.abs(qp) < 1e-280):
+        raise ValueError("p root collides with a q root")
+    vq = varsigma(q)
+    val = t_minus[:, None] / (varsigma(p - eta)[:, None] - vq) \
+        + t_plus[:, None] / (varsigma(p + eta)[:, None] - vq) \
+        - (t_minus + t_plus)[:, None] / (varsigma(p)[:, None] - vq)
+    return -np.sinh(2 * q) * val / qp[:, None]
+
+
 def slavnov_matrix(p_roots, q_roots, eps: EpsChoice, params: ModelParams) -> np.ndarray:
     """Jacobian d tau(p_j) / d q_k from the closed root-derivative formula.
 
     Assembled in extended precision: the determinant built on top cancels
     through the graded column scales.
     """
-    eta = np.clongdouble(params.eta)
-    p_roots = [np.clongdouble(p) for p in p_roots]
-    q_roots = [np.clongdouble(q) for q in q_roots]
-    qpoly = TrigPoly(tuple(q_roots))
-    n_p, n_q = len(p_roots), len(q_roots)
-    out = np.zeros((n_p, n_q), dtype=np.clongdouble)
-    for j, p in enumerate(p_roots):
-        qp = qpoly(p)
-        if abs(qp) < 1e-280:
-            raise ValueError("p root collides with a q root")
-        a_p = big_a_eps(p, eps, params)
-        a_m = big_a_eps(-p, eps, params)
-        q_m = qpoly(p - eta)
-        q_pl = qpoly(p + eta)
-        tau_p = (a_p * q_m + a_m * q_pl) / qp
-        for k, qk in enumerate(q_roots):
-            val = a_p * q_m / (varsigma(p - eta) - varsigma(qk)) \
-                + a_m * q_pl / (varsigma(p + eta) - varsigma(qk)) \
-                - tau_p * qp / (varsigma(p) - varsigma(qk))
-            out[j, k] = -np.sinh(2 * qk) * val / qp
-    return out
+    p = np.array(p_roots, dtype=np.clongdouble)
+    q = np.array(q_roots, dtype=np.clongdouble)
+    table = _tq_table(p, TrigPoly(tuple(q)), eps, params)
+    return _jacobian(p, q, table, np.clongdouble(params.eta))
 
 
 def _root_weights(q_roots, g, aset: ASet, params: ModelParams) -> np.ndarray:
     """Rank-one correction weights X^g_k of f_eps over the on-shell roots."""
-    q_roots = [np.clongdouble(q) for q in q_roots]
-    return x_weights(q_roots, [g(q) for q in q_roots],
-                     [f_eps(-q, aset, params) for q in q_roots], np.clongdouble(params.eta))
+    q = np.array(q_roots, dtype=np.clongdouble)
+    return x_weights(q, g(q), f_eps(-q, aset, params), np.clongdouble(params.eta))
 
 
 def h_q_factor(q_roots, g, aset: ASet, params: ModelParams) -> complex:
@@ -318,135 +348,78 @@ def h_q_factor(q_roots, g, aset: ASet, params: ModelParams) -> complex:
 def sp_slavnov(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
                params: ModelParams, gauge: GaugeParams) -> complex:
     """Jacobian determinant form for an on-shell Q and equal root counts."""
-    eps = q_spec.eps
-    if eps != p_spec.eps:
-        raise ValueError("the jacobian form is stated for matching sign branches")
-    q_roots = [np.clongdouble(q) for q in q_spec.poly.roots]
-    p_roots = [np.clongdouble(p) for p in p_spec.poly.roots]
-    n = len(q_roots)
-    if len(p_roots) != n:
+    if q_spec.poly.degree != p_spec.poly.degree:
         raise ValueError("equal root counts required; use the rectangular form")
-    eta = np.clongdouble(params.eta)
-    aset = build_aset(eps, eps, params)
-    g = g_eps_handle(2 * n, aset, params)
-    qpoly = TrigPoly(tuple(q_roots))
-    pref = z_beta(params, gauge) * z_bar(aset, eps, params, gauge) \
-        * gamma_prefactor(aset, 2 * n, params) \
-        * h_q_factor(q_roots, g, aset, params)
-    for p in p_roots:
-        pref *= qpoly(p) / (np.sinh(2 * p + eta) * np.sinh(2 * p - eta))
-    for q in q_roots:
-        pref *= -big_a_eps(q, eps, params) / np.sinh(2 * q + eta)
-    pref *= vdm_hat([q - eta / 2 for q in q_roots]) \
-        / vdm_hat([q + eta / 2 for q in q_roots])
-    det = det_scaled(slavnov_matrix(p_roots, q_roots, eps, params)) if n else 1.0
-    return complex(pref * det / (vdm_hat(list(reversed(q_roots))) * vdm_hat(p_roots)))
+    q, p, aset, g, qpoly, pref = _onshell_frame(q_spec, p_spec, params, gauge)
+    eps, eta = q_spec.eps, np.clongdouble(params.eta)
+    table = _tq_table(p, qpoly, eps, params)
+    pref *= h_q_factor(q, g, aset, params) \
+        * np.prod(table[0] / (np.sinh(2 * p + eta) * np.sinh(2 * p - eta))) \
+        * np.prod(-big_a_eps(q, eps, params) / np.sinh(2 * q + eta))
+    det = det_scaled(_jacobian(p, q, table, eta)) if len(q) else 1.0
+    return complex(pref * det)
 
 
 def gaudin_matrix(q_roots, eps: EpsChoice, params: ModelParams) -> np.ndarray:
-    """Logarithmic-derivative matrix of the Bethe system at its roots."""
+    """Logarithmic-derivative matrix of the Bethe system at its roots.
+
+    Off the diagonal, -sinh(2 q_k) (1/(vs(q_j + eta) - vs(q_k)) - 1/(vs(q_j - eta) - vs(q_k)));
+    the same formula at k = j is the last term of the diagonal.
+    """
     eta = np.clongdouble(params.eta)
-    q_roots = [np.clongdouble(q) for q in q_roots]
-    n = len(q_roots)
-    out = np.zeros((n, n), dtype=np.clongdouble)
-    for j, qj in enumerate(q_roots):
-        for k, qk in enumerate(q_roots):
-            if k != j:
-                out[j, k] = -np.sinh(2 * qk) * (
-                    1 / (varsigma(qj + eta) - varsigma(qk))
-                    - 1 / (varsigma(qj - eta) - varsigma(qk)))
-            else:
-                val = -big_a_eps_logderiv(-qj, eps, params) \
-                    - big_a_eps_logderiv(qj, eps, params)
-                for sgn in (1, -1):
-                    shift = qj + sgn * eta
-                    val += sgn * np.sinh(2 * shift) * np.sum(
-                        [1 / (varsigma(shift) - varsigma(q)) for q in q_roots])
-                    val -= sgn * np.sinh(2 * qj) / (varsigma(shift) - varsigma(qj))
-                out[j, j] = val
+    q = np.array(q_roots, dtype=np.clongdouble)
+    inv = {sgn: 1 / (varsigma(q + sgn * eta)[:, None] - varsigma(q)) for sgn in (1, -1)}
+    out = -np.sinh(2 * q) * (inv[1] - inv[-1])
+    logderiv = [big_a_eps_logderiv(-qj, eps, params) + big_a_eps_logderiv(qj, eps, params)
+                for qj in q]
+    diag = sum(sgn * np.sinh(2 * (q + sgn * eta)) * inv[sgn].sum(axis=1) for sgn in (1, -1))
+    out[np.diag_indices(len(q))] += diag - np.array(logderiv)
     return out
 
 
 def gaudin_norm(q_spec: SeparateStateSpec, params: ModelParams,
                 gauge: GaugeParams) -> complex:
     """Norm-type pairing of an on-shell separate state with itself."""
-    eps = q_spec.eps
-    q_roots = [np.clongdouble(q) for q in q_spec.poly.roots]
-    n = len(q_roots)
-    eta = np.clongdouble(params.eta)
-    aset = build_aset(eps, eps, params)
-    g = g_eps_handle(2 * n, aset, params)
-    qpoly = TrigPoly(tuple(q_roots))
-    pref = z_beta(params, gauge) * z_bar(aset, eps, params, gauge) \
-        * gamma_prefactor(aset, 2 * n, params) \
-        * h_q_factor(q_roots, g, aset, params)
-    for q in q_roots:
-        pref *= big_a_eps(q, eps, params) ** 2 * qpoly(q - eta) \
-            / (np.sinh(2 * q + eta) ** 2 * np.sinh(2 * q - eta))
-    pref *= vdm_hat([q - eta / 2 for q in q_roots]) \
-        / vdm_hat([q + eta / 2 for q in q_roots])
-    det = det_scaled(gaudin_matrix(q_roots, eps, params)) if n else 1.0
-    return complex(pref * det / (vdm_hat(list(reversed(q_roots))) * vdm_hat(q_roots)))
+    q, _, aset, g, qpoly, pref = _onshell_frame(q_spec, q_spec, params, gauge)
+    eps, eta = q_spec.eps, np.clongdouble(params.eta)
+    pref *= h_q_factor(q, g, aset, params) \
+        * np.prod(big_a_eps(q, eps, params) ** 2 * qpoly(q - eta)
+                  / (np.sinh(2 * q + eta) ** 2 * np.sinh(2 * q - eta)))
+    det = det_scaled(gaudin_matrix(q, eps, params)) if len(q) else 1.0
+    return complex(pref * det)
 
 
 def sp_slavnov_gen(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
                    params: ModelParams, gauge: GaugeParams) -> complex:
     """Rectangular generalization with the rank-one correction column."""
-    eps = q_spec.eps
-    if eps != p_spec.eps:
-        raise ValueError("the jacobian form is stated for matching sign branches")
-    q_roots = [np.clongdouble(q) for q in q_spec.poly.roots]
-    p_roots = [np.clongdouble(p) for p in p_spec.poly.roots]
-    n_q, n_p = len(q_roots), len(p_roots)
+    n_q, n_p = q_spec.poly.degree, p_spec.poly.degree
     if n_p <= n_q:
         raise ValueError("rectangular form requires more p roots than q roots")
-    eta = np.clongdouble(params.eta)
-    aset = build_aset(eps, eps, params)
-    g = g_eps_handle(n_p + n_q, aset, params)
-
-    qpoly = TrigPoly(tuple(q_roots))
-
-    s_mat = np.zeros((n_p, n_p), dtype=np.clongdouble)
-    s_mat[:, :n_q] = slavnov_matrix(p_roots, q_roots, eps, params)
-    for j, p in enumerate(p_roots):
-        qp = qpoly(p)
-        for k in range(n_q, n_p):
-            acc = 0.0 + 0j
-            for sgn in (1, -1):
-                acc += sgn * big_a_eps(-sgn * p, eps, params) \
-                    * np.sinh(2 * p + sgn * eta) \
-                    * qpoly(p + sgn * eta) / qp \
-                    * varsigma(p + sgn * eta / 2) ** (k - n_q)
-            s_mat[j, k] = acc
+    q, p, aset, g, qpoly, pref = _onshell_frame(q_spec, p_spec, params, gauge)
+    eps, eta = q_spec.eps, np.clongdouble(params.eta)
+    table = _tq_table(p, qpoly, eps, params)
+    qp, t_minus, t_plus = table
+    # f_+/- = +/- A(-/+ p) sinh(2p +/- eta) Q(p +/- eta) / Q(p): the added
+    # columns are the first n_p - n_q columns of the functional's matrix
+    f_pm = {1: t_plus * np.sinh(2 * p + eta) / qp, -1: -t_minus * np.sinh(2 * p - eta) / qp}
+    s_mat = np.concatenate([_jacobian(p, q, table, eta),
+                            functional_matrix(p, f_pm[1], f_pm[-1], 0, eta)[:, :n_p - n_q]],
+                           axis=1)
 
     # rank-one correction: a single non-zero column at the last position
-    p_col = np.zeros(n_p, dtype=np.clongdouble)
     if g is not None:
-        w = _root_weights(q_roots, g, aset, params)
-        cosh_q = np.cosh(2 * np.array(q_roots) - eta)
-        for j, p in enumerate(p_roots):
-            qp = qpoly(p)
-            val = g(p) * np.sinh(2 * p + eta) * np.sinh(2 * p - eta) / qp ** 2
-            for sgn in (1, -1):
-                pref = sgn * big_a_eps(-sgn * p, eps, params) \
-                    * np.sinh(2 * p + sgn * eta) * qpoly(p + sgn * eta) / qp
-                val -= pref * np.sum(2 * w / (np.cosh(2 * p + sgn * eta) - cosh_q))
-            p_col[j] = val
-    s_mat[:, n_p - 1] += p_col
+        w = _root_weights(q, g, aset, params)
+        cosh_q = np.cosh(2 * q - eta)
+        col = g(p) * np.sinh(2 * p + eta) * np.sinh(2 * p - eta) / qp ** 2
+        for sgn, f in f_pm.items():
+            col -= f * np.sum(2 * w / (np.cosh(2 * p + sgn * eta)[:, None] - cosh_q), axis=1)
+        s_mat[:, n_p - 1] += col
 
     # prefactors per the rectangular-exchange derivation: the jacobian columns
     # absorb one f(-q_k) each and no 1/(sinh eta sinh 2q_k) factors survive
-    pref = (-1) ** (params.N * (n_p + n_q)) * z_beta(params, gauge) \
-        * z_bar(aset, eps, params, gauge) \
-        * gamma_prefactor(aset, n_p + n_q, params)
-    for p in p_roots:
-        pref *= qpoly(p) / (np.sinh(2 * p + eta) * np.sinh(2 * p - eta))
-    for q in q_roots:
-        pref *= f_eps(-q, aset, params)
-    pref *= vdm_hat([q - eta / 2 for q in q_roots]) \
-        / vdm_hat([q + eta / 2 for q in q_roots])
-    denom = vdm_hat(list(reversed(q_roots))) * vdm_hat(p_roots)
-    return complex(pref * det_scaled(s_mat) / denom)
+    pref *= np.prod(qp / (np.sinh(2 * p + eta) * np.sinh(2 * p - eta))) \
+        * np.prod(f_eps(-q, aset, params))
+    return complex(pref * det_scaled(s_mat))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from itertools import product as _iterprod
 
 import numpy as np
 
-from .trig import ModelParams, bulk_ad, vdm_hat, varsigma
-from .lattice import qdet_k_minus, qdet_k_plus, qdet_m, qdet_u_minus
+from .trig import ModelParams, bulk_ad, vdm_hat
+from .lattice import qdet_m
 from .gauge import GaugeParams, bcoef_minus, s_chain, sos_block
 
 
@@ -127,8 +127,6 @@ def cond3bis_margin(params: ModelParams, eps_plus: int = 1) -> float:
     hits eps (alpha_- + beta_-) - eps_+ (alpha_+ - beta_+) - (eps_+ + eps) i pi/2
     for some j and sign eps; the margin is the smallest such distance.
     """
-    from .trig import dist_to_ipi_lattice
-
     bp, bm = params.boundary_plus, params.boundary_minus
     margin = np.inf
     for j in range(1, params.N + 1):
@@ -216,10 +214,10 @@ class SovBasis:
     costs one Q-product vector, one matvec and one gauge application.
     """
 
-    def __init__(self, params: ModelParams, gauge: GaugeParams, check: bool = True):
+    def __init__(self, params: ModelParams, gauge: GaugeParams):
         self.params = params
         self.gauge = gauge
-        if check and not params.is_generic():
+        if not params.is_generic():
             raise ValueError("inhomogeneities fail the genericity condition")
         self._raw = {"right": raw_states(params, gauge, "right", gauge.beta + 1),
                      "left": raw_states(params, gauge, "left", gauge.beta - 1)}

@@ -19,12 +19,15 @@ from .trig import (
     canonical_root,
     varsigma,
 )
-from .lattice import transfer, qdet_k_plus, qdet_u_minus
-from .gauge import GaugeParams
+from .lattice import transfer, qdet_k_plus, qdet_m, qdet_u_minus
 from .sov import EpsChoice, SovBasis, big_a_eps, sov_state
 
-# deterministic generic evaluation point for the one-shot diagonalization
+# deterministic generic evaluation point for the one-shot diagonalization,
+# and the smallest relative eigenvalue gap it accepts there
 LAMBDA_STAR = 0.4371 + 0.2193j
+GAP_TOL = 1e-9
+# held-out points of the eigenvector check
+EIGEN_CHECK_LAMS = (0.48 + 0.21j, 0.92 - 0.14j, 1.21 + 0.33j)
 
 
 @dataclass(frozen=True)
@@ -57,17 +60,17 @@ class QSolution:
     singular_ratio: float
 
 
-def brute_spectrum(params: ModelParams, lam0=LAMBDA_STAR, gap_tol: float = 1e-9):
+def brute_spectrum(params: ModelParams):
     """All 2^N eigenvalue polynomials from dense diagonalization."""
     if params.N > 7:
         raise ValueError("dense spectrum capped at N = 7")
     N = params.N
-    t0 = transfer(lam0, params)
+    t0 = transfer(LAMBDA_STAR, params)
     evals, vr = np.linalg.eig(t0)
     order = np.argsort(evals.real + 1e-6 * evals.imag)
     evals, vr = evals[order], vr[:, order]
     gaps = np.abs(evals[:, None] - evals[None, :]) + np.eye(len(evals))
-    if gaps.min() < gap_tol * np.abs(evals).max():
+    if gaps.min() < GAP_TOL * np.abs(evals).max():
         raise ValueError("near-degenerate transfer spectrum; resample parameters")
     vl = np.linalg.inv(vr)  # rows are left eigenvectors, normalized to vl vr = 1
 
@@ -97,6 +100,15 @@ def tau_leading_coeff(params: ModelParams) -> complex:
                    / (np.sinh(bp.sigma) * np.sinh(bm.sigma)))
 
 
+def tau_special_values(params: ModelParams) -> tuple:
+    """The closed-form values of every eigenvalue, as (lam, tau(lam)) pairs."""
+    eta = params.eta
+    v1 = 2 * (-1) ** params.N * np.cosh(eta) * qdet_m(0, params)
+    v2 = -2 * np.cosh(eta) * qdet_m(1j * np.pi / 2, params) \
+        / (np.tanh(params.boundary_plus.sigma) * np.tanh(params.boundary_minus.sigma))
+    return (eta / 2, v1), (eta / 2 + 1j * np.pi / 2, v2)
+
+
 def sov_quadratic_rhs(n: int, params: ModelParams) -> complex:
     """Right side of the per-site quadratic condition on eigenvalues."""
     xn = params.xi[n - 1]
@@ -111,8 +123,6 @@ def verify_tau(taus, params: ModelParams, eps: EpsChoice):
 
     Each held-out transfer matrix is built once for the whole list.
     """
-    from .lattice import qdet_m
-
     N, eta = params.N, params.eta
     out = []
 
@@ -132,12 +142,8 @@ def verify_tau(taus, params: ModelParams, eps: EpsChoice):
                                    for tau in taus)))
 
     # (iii) special values
-    v1 = 2 * (-1) ** N * np.cosh(eta) * qdet_m(0, params)
-    v2 = -2 * np.cosh(eta) * qdet_m(1j * np.pi / 2, params) \
-        / (np.tanh(params.boundary_plus.sigma) * np.tanh(params.boundary_minus.sigma))
-    out.append(("value-eta/2", max(abs(tau(eta / 2) - v1) / abs(v1) for tau in taus)))
-    out.append(("value-eta/2+ipi/2", max(abs(tau(eta / 2 + 1j * np.pi / 2) - v2) / abs(v2)
-                                         for tau in taus)))
+    for name, (lam, val) in zip(("value-eta/2", "value-eta/2+ipi/2"), tau_special_values(params)):
+        out.append((name, max(abs(tau(lam) - val) / abs(val) for tau in taus)))
 
     # (iv) per-site quadratic conditions
     rhs = [sov_quadratic_rhs(n, params) for n in range(1, N + 1)]
@@ -167,30 +173,25 @@ def q_discrete(tau: TauPoly, params: ModelParams, eps: EpsChoice):
     return out
 
 
-def sov_eigenvector(tau: TauPoly, params: ModelParams, gauge: GaugeParams,
-                    eps: EpsChoice, side: str = "right",
-                    basis: SovBasis | None = None,
+def sov_eigenvector(tau: TauPoly, basis: SovBasis, eps: EpsChoice, side: str = "right",
                     qvals=None) -> np.ndarray:
-    """Assemble the SoV eigenvector for one eigenvalue polynomial."""
-    if basis is None:
-        basis = SovBasis(params, gauge)
+    """Assemble the SoV eigenvector for one eigenvalue polynomial on the chain of ``basis``."""
     if qvals is None:
-        qvals = q_discrete(tau, params, eps)
-    qtab = [[qvals[(n, b)] for b in (0, 1)] for n in range(1, params.N + 1)]
+        qvals = q_discrete(tau, basis.params, eps)
+    qtab = [[qvals[(n, b)] for b in (0, 1)] for n in range(1, basis.params.N + 1)]
     out = sov_state(qtab, basis, side, eps)
     if np.max(np.abs(out)) < 1e-13:
         raise ValueError("zero SoV eigenvector: inadmissible tau")
     return out
 
 
-def eigen_residual(taus, vecs: np.ndarray, params: ModelParams,
-                   side: str = "right", lams=(0.48 + 0.21j, 0.92 - 0.14j, 1.21 + 0.33j)):
+def eigen_residual(taus, vecs: np.ndarray, params: ModelParams, side: str = "right"):
     """Worst relative residual of T(lam) v = tau(lam) v (right) or v T = tau v
     (left) over the rows v of ``vecs``, row i paired with ``taus[i]``."""
     vecs = np.asarray(vecs)
     norms = np.linalg.norm(vecs, axis=1)
     res = 0.0
-    for lam in lams:
+    for lam in EIGEN_CHECK_LAMS:
         tm = transfer(lam, params)
         vals = np.array([tau(lam) for tau in taus])
         diff = vecs @ (tm.T if side == "right" else tm) - vals[:, None] * vecs
@@ -276,8 +277,7 @@ def _collocation_points(count: int):
 
 
 def solve_tq(tau: TauPoly, params: ModelParams, eps: EpsChoice,
-             mode: str = "homogeneous", degree: int | None = None,
-             tol: float = 1e-8) -> QSolution:
+             mode: str = "homogeneous", degree: int | None = None) -> QSolution:
     """Least-squares solve for the monic Q of the T-Q functional equation."""
     N = params.N
     inhom = mode == "inhomogeneous"

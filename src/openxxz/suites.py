@@ -9,37 +9,39 @@ errors raise.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .trig import ModelParams, TrigPoly, random_params, rng_for
 from .lattice import (
-    kmat_plus,
-    qdet_m,
+    AuxOp,
+    kmat_generic,
+    r6v,
     rel_residual,
-    reflection_residual_operator,
-    reflection_residual_scalar,
+    reflection_residual,
     transfer,
     transfer_alt,
+    u_minus,
     yang_baxter_residual,
 )
 from .gauge import (
     GaugeParams,
-    dyn_reflection_residual,
     gauge_is_safe,
     k_plus_hat,
+    r_sos,
     s_chain,
     solve_gauge,
     t_sos,
     transfer_from_tilde,
+    u_sos,
+    u_tilde,
     verify_sos_algebra,
     vertex_irf2_residual,
     vertex_irf_residual,
 )
 from .sov import (
     ADMISSIBLE_EPS,
-    EpsChoice,
     SovBasis,
     gram_matrix,
     identity_resolution_residual,
@@ -53,6 +55,8 @@ from .spectrum import (
     f_frak,
     solve_tq,
     sov_eigenvector,
+    tau_leading_coeff,
+    tau_special_values,
     verify_tau,
 )
 from .scalar import (
@@ -89,6 +93,9 @@ DEFAULT_TOLS = {
     "identities": 1e-9,
 }
 
+# the sign branches the suites check: the first, and a second for the mixed pairs
+EPS_CHOICES = ADMISSIBLE_EPS[:2]
+
 SUITE_ORDER = ("lattice", "gauge", "sovbasis", "spectrum", "scalarprod", "identities")
 
 
@@ -100,7 +107,6 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
     params: ModelParams | None = None
     identity_instances: int = 25
-    eps_choices: tuple = ADMISSIBLE_EPS[:2]
 
     def __post_init__(self):
         if self.n_sites < 1 or self.n_sites > 7:
@@ -178,12 +184,17 @@ def suite_lattice(config: RunConfig) -> list:
     rec.guard("yang-baxter", lambda: max(
         yang_baxter_residual(_rand_lam(rng), _rand_lam(rng), params.eta)
         for _ in range(5)), 1e-12)
+    def r_at(x):
+        return r6v(x, params.eta)
+
+    def k_at(x):
+        return AuxOp.from_scalar_matrix(kmat_generic(x, b.sigma, b.kappa, b.tau, params.eta), 1)
+
     rec.guard("k-reflection", lambda: max(
-        reflection_residual_scalar(_rand_lam(rng), _rand_lam(rng),
-                                   b.sigma, b.kappa, b.tau, params.eta)
+        reflection_residual(_rand_lam(rng), _rand_lam(rng), params.eta, r_at, k_at)
         for _ in range(5)), 1e-12)
-    rec.guard("u-reflection", lambda: reflection_residual_operator(
-        _rand_lam(rng), _rand_lam(rng), params))
+    rec.guard("u-reflection", lambda: reflection_residual(
+        _rand_lam(rng), _rand_lam(rng), params.eta, r_at, lambda x: u_minus(x, params)))
 
     def commuting():
         worst = 0.0
@@ -201,26 +212,16 @@ def suite_lattice(config: RunConfig) -> list:
         rel_residual(transfer(lam, params), transfer_alt(lam, params))
         for lam in (_rand_lam(rng), _rand_lam(rng))))
 
-    def special_values():
-        eta = params.eta
-        dim = 2 ** params.N
-        v1 = 2 * (-1) ** params.N * np.cosh(eta) * qdet_m(0, params)
-        r1 = rel_residual(transfer(eta / 2, params), v1 * np.eye(dim))
-        bp, bm = params.boundary_plus, params.boundary_minus
-        v2 = -2 * np.cosh(eta) * qdet_m(1j * np.pi / 2, params) \
-            / (np.tanh(bp.sigma) * np.tanh(bm.sigma))
-        r2 = rel_residual(transfer(eta / 2 + 1j * np.pi / 2, params), v2 * np.eye(dim))
-        return max(r1, r2)
-    rec.guard("special-values", special_values, 1e-12)
+    eye = np.eye(2 ** params.N)
+    rec.guard("special-values", lambda: max(
+        rel_residual(transfer(lam, params), val * eye)
+        for lam, val in tau_special_values(params)), 1e-12)
 
     def asymptotics():
-        bp, bm = params.boundary_plus, params.boundary_minus
-        coef = bp.kappa * bm.kappa * np.cosh(bp.tau - bm.tau) \
-            / (2 ** (2 * params.N + 1) * np.sinh(bp.sigma) * np.sinh(bm.sigma))
-        dim = 2 ** params.N
+        coef = tau_leading_coeff(params) / 4 ** (params.N + 2)
         return max(rel_residual(transfer(lam, params)
                                 * np.exp(-2 * (params.N + 2) * abs(lam)),
-                                coef * np.eye(dim)) for lam in (25.0, -25.0))
+                                coef * eye) for lam in (25.0, -25.0))
     rec.guard("asymptotics", asymptotics, 1e-6)
 
     def hamiltonian_consistency():
@@ -271,9 +272,15 @@ def suite_gauge(config: RunConfig) -> list:
         return np.max(np.abs(ev1 - ev2)) / np.max(np.abs(ev1))
     rec.guard("sos-spectrum", spectrum_match)
 
+    # each U is the pair of its labels beta + 1 and beta - 1 (the other aux space up, down)
+    beta = gauge.beta
+    u_forms = (lambda x, lbl: u_tilde(x, params, lbl, gauge.alpha),
+               lambda x, lbl: u_sos(x, params, lbl, gauge))
     rec.guard("dynamical-reflection", lambda: max(
-        dyn_reflection_residual(_rand_lam(rng), _rand_lam(rng), params, gauge, form)
-        for form in ("tilde", "sos")))
+        reflection_residual(_rand_lam(rng), _rand_lam(rng), params.eta,
+                            lambda x: r_sos(x, beta, params.eta),
+                            lambda x: (u_at(x, beta + 1), u_at(x, beta - 1)))
+        for u_at in u_forms))
 
     for name, res in verify_sos_algebra(params, gauge, seed=config.seed):
         rec.add(f"algebra-{name}", res)
@@ -285,7 +292,7 @@ def suite_sovbasis(config: RunConfig) -> list:
     rec = _Recorder("sovbasis", config.seed, params, config.tol("sovbasis"))
     basis = SovBasis(params, gauge)
 
-    for eps in config.eps_choices:
+    for eps in EPS_CHOICES:
         tag = f"eps{eps.a_plus}{eps.a_minus}{eps.b_plus}{eps.b_minus}"
 
         def orthogonality(eps=eps):
@@ -304,7 +311,7 @@ def suite_sovbasis(config: RunConfig) -> list:
         rec.guard(f"identity-resolution-{tag}",
                   lambda eps=eps: identity_resolution_residual(basis, eps))
 
-    for name, res in verify_sov_actions(basis, config.eps_choices[0],
+    for name, res in verify_sov_actions(basis, EPS_CHOICES[0],
                                         seed=config.seed):
         rec.add(f"action-{name}", res)
     return rec.records
@@ -313,7 +320,7 @@ def suite_sovbasis(config: RunConfig) -> list:
 def suite_spectrum(config: RunConfig) -> list:
     params, gauge = _setup(config)
     rec = _Recorder("spectrum", config.seed, params, config.tol("spectrum"))
-    eps = config.eps_choices[0]
+    eps = EPS_CHOICES[0]
     basis = SovBasis(params, gauge)
     taus = brute_spectrum(params)
 
@@ -324,7 +331,7 @@ def suite_spectrum(config: RunConfig) -> list:
 
     def eigenvectors():
         return max(eigen_residual(
-            taus, [sov_eigenvector(tau, params, gauge, eps, side, basis) for tau in taus],
+            taus, [sov_eigenvector(tau, basis, eps, side) for tau in taus],
             params, side) for side in ("right", "left"))
     rec.guard("sov-eigenvectors", eigenvectors)
 
@@ -349,8 +356,7 @@ def suite_scalarprod(config: RunConfig) -> list:
     rng = rng_for(config.seed, "scalarprod")
     basis = SovBasis(params, gauge)
     N = params.N
-    e0 = config.eps_choices[0]
-    e1 = config.eps_choices[1] if len(config.eps_choices) > 1 else e0.flipped()
+    e0, e1 = EPS_CHOICES
 
     def poly_of(total, sign):
         roots = tuple(rng.uniform(0.4, 1.3, total)
@@ -500,7 +506,7 @@ def homog_sweep(config: RunConfig, epsilons=(1e-1, 1e-2, 1e-3)):
     gauge = _gauge(base)
     rng = rng_for(config.seed, "homog")
     N = base.N
-    e0 = config.eps_choices[0]
+    e0 = EPS_CHOICES[0]
     nq = max(1, N // 2)
     q = TrigPoly(roots=tuple(rng.uniform(0.4, 1.3, nq) + 1j * rng.uniform(0.3, 0.9, nq)))
     p = TrigPoly(roots=tuple(rng.uniform(0.4, 1.3, N - nq)

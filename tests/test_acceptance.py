@@ -210,7 +210,7 @@ def test_criterion_06_spectrum():
         for _, res in verify_tau([tau], params, E0):
             worst = max(worst, res)
         for side in ("right", "left"):
-            vec = sov_eigenvector(tau, params, gauge, E0, side, basis)
+            vec = sov_eigenvector(tau, basis, E0, side)
             worst = max(worst, eigen_residual([tau], [vec], params, side))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-8 and elapsed < 120

@@ -3,7 +3,20 @@ import pytest
 
 from openxxz import gauge as gauge_mod
 from openxxz.trig import random_params, rng_for
-from openxxz.lattice import AuxOp, bulk_monodromy, r6v, rel_residual, site_op, transfer, u_minus
+from openxxz.lattice import (
+    ID2,
+    PERM4,
+    AuxOp,
+    bulk_monodromy,
+    embed_aux_pair,
+    kmat_generic,
+    r6v,
+    reflection_residual,
+    rel_residual,
+    site_op,
+    transfer,
+    u_minus,
+)
 from openxxz.gauge import (
     ad_plus,
     ad_plus_raw,
@@ -11,7 +24,6 @@ from openxxz.gauge import (
     bcoef_minus,
     bcoef_minus_alt,
     btilde_from_entries,
-    dyn_reflection_residual,
     gauge_is_safe,
     k_plus_hat,
     k_sos_minus,
@@ -243,11 +255,97 @@ def test_u_sos_equals_single_blocks(setup3, setup5):
             assert rel_residual(blocks[a, b], single) < 1e-14
 
 
+def _dyn_reflection(lam, mu, params, gauge, u_at):
+    beta = gauge.beta
+    return reflection_residual(lam, mu, params.eta, lambda x: r_sos(x, beta, params.eta),
+                               lambda x: (u_at(x, beta + 1), u_at(x, beta - 1)))
+
+
 def test_dynamical_reflection(setup3):
     params, gauge = setup3
     lam, mu = 0.4 + 0.2j, 0.9 - 0.3j
-    assert dyn_reflection_residual(lam, mu, params, gauge, "sos") < 1e-9
-    assert dyn_reflection_residual(lam, mu, params, gauge, "tilde") < 1e-9
+    assert _dyn_reflection(lam, mu, params, gauge,
+                           lambda x, lbl: u_sos(x, params, lbl, gauge)) < 1e-9
+    assert _dyn_reflection(lam, mu, params, gauge,
+                           lambda x, lbl: u_tilde(x, params, lbl, gauge.alpha)) < 1e-9
+
+
+# The three reflection residuals that the one kernel replaced, kept as references.
+
+def _reflection_scalar_ref(lam, mu, sigma, kappa, tau, eta):
+    k1 = np.kron(kmat_generic(lam, sigma, kappa, tau, eta), ID2)
+    k2 = np.kron(ID2, kmat_generic(mu, sigma, kappa, tau, eta))
+    r_lm = r6v(lam - mu, eta)
+    r_lpm = r6v(lam + mu - eta, eta)
+    return rel_residual(r_lm @ k1 @ r_lpm @ k2, k2 @ r_lpm @ k1 @ r_lm)
+
+
+def _embed_aux_pair_ref(op_at, slot):
+    ops = [op_at(0), op_at(1)]
+    full = np.zeros((4 * ops[0].dim, 4 * ops[0].dim), dtype=complex)
+    for c, op in enumerate(ops):
+        proj = np.zeros((2, 2), dtype=complex)
+        proj[c, c] = 1
+        for a in range(2):
+            for b in range(2):
+                e = np.zeros((2, 2), dtype=complex)
+                e[a, b] = 1
+                pair = np.kron(e, proj) if slot == 1 else np.kron(proj, e)
+                full += np.kron(pair, op.blocks[a, b])
+    return full
+
+
+def _reflection_operator_ref(lam, mu, params):
+    eye = np.eye(2 ** params.N, dtype=complex)
+    u1 = _embed_aux_pair_ref(lambda c: u_minus(lam, params), 1)
+    u2 = _embed_aux_pair_ref(lambda c: u_minus(mu, params), 2)
+    r_lm = np.kron(r6v(lam - mu, params.eta), eye)
+    r_lpm = np.kron(r6v(lam + mu - params.eta, params.eta), eye)
+    return rel_residual(r_lm @ u1 @ r_lpm @ u2, u2 @ r_lpm @ u1 @ r_lm)
+
+
+def _dyn_reflection_ref(lam, mu, params, gauge, u_at):
+    beta, eta = gauge.beta, params.eta
+    eye = np.eye(2 ** params.N, dtype=complex)
+
+    def r21(r4):
+        return np.kron(PERM4 @ r4 @ PERM4, eye)
+
+    u1 = _embed_aux_pair_ref(lambda c: u_at(lam, beta + (1 - 2 * c)), 1)
+    u2 = _embed_aux_pair_ref(lambda c: u_at(mu, beta + (1 - 2 * c)), 2)
+    r_lm, r_lpm = r_sos(lam - mu, beta, eta), r_sos(lam + mu - eta, beta, eta)
+    lhs = r21(r_lm) @ u1 @ np.kron(r_lpm, eye) @ u2
+    rhs = u2 @ r21(r_lpm) @ u1 @ np.kron(r_lm, eye)
+    return rel_residual(lhs, rhs)
+
+
+def test_reflection_residual_matches_separate_forms(setup3):
+    rng = rng_for(27, "refl-pin")
+    params, gauge = setup3
+    b, eta = params.boundary_minus, params.eta
+    for _ in range(3):
+        lam = complex(rng.uniform(0.1, 1.2), rng.uniform(-0.5, 0.5))
+        mu = complex(rng.uniform(0.1, 1.2), rng.uniform(-0.5, 0.5))
+        ref = _reflection_scalar_ref(lam, mu, b.sigma, b.kappa, b.tau, eta)
+        got = reflection_residual(
+            lam, mu, eta, lambda x: r6v(x, eta),
+            lambda x: AuxOp.from_scalar_matrix(kmat_generic(x, b.sigma, b.kappa, b.tau, eta), 1))
+        assert got == ref
+        ref = _reflection_operator_ref(lam, mu, params)
+        got = reflection_residual(lam, mu, eta, lambda x: r6v(x, eta),
+                                  lambda x: u_minus(x, params))
+        assert got == ref
+        for u_at in (lambda x, lbl: u_sos(x, params, lbl, gauge),
+                     lambda x, lbl: u_tilde(x, params, lbl, gauge.alpha)):
+            assert _dyn_reflection(lam, mu, params, gauge, u_at) \
+                == _dyn_reflection_ref(lam, mu, params, gauge, u_at)
+    # a dynamical pair is embedded block by block, a single AuxOp on both states
+    u = u_minus(0.4 + 0.2j, params)
+    w = u_sos(0.4 + 0.2j, params, gauge.beta + 1, gauge)
+    for slot in (1, 2):
+        assert np.array_equal(embed_aux_pair(u, slot), _embed_aux_pair_ref(lambda c: u, slot))
+        assert np.array_equal(embed_aux_pair((u, w), slot),
+                              _embed_aux_pair_ref(lambda c: (u, w)[c], slot))
 
 
 def test_sos_quantum_determinant(setup3):

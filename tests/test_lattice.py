@@ -18,8 +18,7 @@ from openxxz.lattice import (
     qdet_m,
     qdet_u_minus,
     r6v,
-    reflection_residual_operator,
-    reflection_residual_scalar,
+    reflection_residual,
     rel_residual,
     traceless,
     transfer,
@@ -60,9 +59,11 @@ def test_kmat_identity_at_eta_half(params3):
 def test_kmat_reflection_equation(params3):
     rng = rng_for(22, "refl")
     b = params3.boundary_minus
+    eta = params3.eta
     for _ in range(4):
-        res = reflection_residual_scalar(rand_lam(rng), rand_lam(rng),
-                                         b.sigma, b.kappa, b.tau, params3.eta)
+        res = reflection_residual(
+            rand_lam(rng), rand_lam(rng), eta, lambda x: r6v(x, eta),
+            lambda x: AuxOp.from_scalar_matrix(kmat_generic(x, b.sigma, b.kappa, b.tau, eta), 1))
         assert res < 1e-12
 
 
@@ -151,7 +152,8 @@ def test_u_minus_reflection_equation():
     rng = rng_for(26, "urefl")
     for N in (2, 3):
         params = random_params(N, seed=30 + N)
-        res = reflection_residual_operator(rand_lam(rng), rand_lam(rng), params)
+        res = reflection_residual(rand_lam(rng), rand_lam(rng), params.eta,
+                                  lambda x: r6v(x, params.eta), lambda x: u_minus(x, params))
         assert res < 1e-10
 
 

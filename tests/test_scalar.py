@@ -552,3 +552,133 @@ def test_separate_state_repeats_bit_for_bit():
         spec = SeparateStateSpec(q, E1, side)
         first = separate_state(spec, basis, use_bis=bis)
         assert np.array_equal(first, separate_state(spec, basis, use_bis=bis))
+
+
+# The per-entry loops that assembled the on-shell matrices before they were
+# built from one table of per-root T-Q terms; kept as references.
+
+def _slavnov_matrix_loop(p_roots, q_roots, eps, params):
+    eta = np.clongdouble(params.eta)
+    p_roots = [np.clongdouble(p) for p in p_roots]
+    q_roots = [np.clongdouble(q) for q in q_roots]
+    qpoly = TrigPoly(tuple(q_roots))
+    out = np.zeros((len(p_roots), len(q_roots)), dtype=np.clongdouble)
+    for j, p in enumerate(p_roots):
+        qp = qpoly(p)
+        a_p = big_a_eps(p, eps, params)
+        a_m = big_a_eps(-p, eps, params)
+        q_m = qpoly(p - eta)
+        q_pl = qpoly(p + eta)
+        tau_p = (a_p * q_m + a_m * q_pl) / qp
+        for k, qk in enumerate(q_roots):
+            val = a_p * q_m / (varsigma(p - eta) - varsigma(qk)) \
+                + a_m * q_pl / (varsigma(p + eta) - varsigma(qk)) \
+                - tau_p * qp / (varsigma(p) - varsigma(qk))
+            out[j, k] = -np.sinh(2 * qk) * val / qp
+    return out
+
+
+def _gaudin_matrix_loop(q_roots, eps, params):
+    from openxxz.sov import big_a_eps_logderiv
+
+    eta = np.clongdouble(params.eta)
+    q_roots = [np.clongdouble(q) for q in q_roots]
+    n = len(q_roots)
+    out = np.zeros((n, n), dtype=np.clongdouble)
+    for j, qj in enumerate(q_roots):
+        for k, qk in enumerate(q_roots):
+            if k != j:
+                out[j, k] = -np.sinh(2 * qk) * (
+                    1 / (varsigma(qj + eta) - varsigma(qk))
+                    - 1 / (varsigma(qj - eta) - varsigma(qk)))
+            else:
+                val = -big_a_eps_logderiv(-qj, eps, params) \
+                    - big_a_eps_logderiv(qj, eps, params)
+                for sgn in (1, -1):
+                    shift = qj + sgn * eta
+                    val += sgn * np.sinh(2 * shift) * np.sum(
+                        [1 / (varsigma(shift) - varsigma(q)) for q in q_roots])
+                    val -= sgn * np.sinh(2 * qj) / (varsigma(shift) - varsigma(qj))
+                out[j, j] = val
+    return out
+
+
+def _rectangular_matrix_loop(q_roots, p_roots, eps, params):
+    from openxxz.detid import x_weights
+
+    eta = np.clongdouble(params.eta)
+    q_roots = [np.clongdouble(q) for q in q_roots]
+    p_roots = [np.clongdouble(p) for p in p_roots]
+    n_q, n_p = len(q_roots), len(p_roots)
+    aset = build_aset(eps, eps, params)
+    g = g_eps_handle(n_p + n_q, aset, params)
+    qpoly = TrigPoly(tuple(q_roots))
+    s_mat = np.zeros((n_p, n_p), dtype=np.clongdouble)
+    s_mat[:, :n_q] = _slavnov_matrix_loop(p_roots, q_roots, eps, params)
+    for j, p in enumerate(p_roots):
+        qp = qpoly(p)
+        for k in range(n_q, n_p):
+            acc = 0.0 + 0j
+            for sgn in (1, -1):
+                acc += sgn * big_a_eps(-sgn * p, eps, params) \
+                    * np.sinh(2 * p + sgn * eta) \
+                    * qpoly(p + sgn * eta) / qp \
+                    * varsigma(p + sgn * eta / 2) ** (k - n_q)
+            s_mat[j, k] = acc
+    p_col = np.zeros(n_p, dtype=np.clongdouble)
+    if g is not None:
+        w = x_weights(q_roots, [g(q) for q in q_roots],
+                      [f_eps(-q, aset, params) for q in q_roots], eta)
+        cosh_q = np.cosh(2 * np.array(q_roots) - eta)
+        for j, p in enumerate(p_roots):
+            qp = qpoly(p)
+            val = g(p) * np.sinh(2 * p + eta) * np.sinh(2 * p - eta) / qp ** 2
+            for sgn in (1, -1):
+                pref = sgn * big_a_eps(-sgn * p, eps, params) \
+                    * np.sinh(2 * p + sgn * eta) * qpoly(p + sgn * eta) / qp
+                val -= pref * np.sum(2 * w / (np.cosh(2 * p + sgn * eta) - cosh_q))
+            p_col[j] = val
+    s_mat[:, n_p - 1] += p_col
+    return s_mat
+
+
+def _assert_entries_close(got, ref, rtol=1e-15):
+    assert got.shape == ref.shape and got.dtype == np.clongdouble
+    assert np.all(np.abs(got - ref) <= rtol * np.abs(ref)), np.max(np.abs(got - ref) / np.abs(ref))
+
+
+def test_onshell_matrices_match_loops(onshell4, monkeypatch):
+    import openxxz.scalar as scalar_mod
+
+    params, gauge, basis, tau, qpoly = onshell4
+    q_roots = list(qpoly.roots)
+    n = len(q_roots)
+    p_roots = [0.52 + 0.33j, 0.91 - 0.41j, 1.21 + 0.52j, 0.66 - 0.2j, 0.47 + 0.58j,
+               1.05 + 0.12j][:n + 2]
+    assert len(p_roots) == n + 2
+    for n_p in (0, 1, n):
+        _assert_entries_close(slavnov_matrix(p_roots[:n_p], q_roots, E0, params),
+                              _slavnov_matrix_loop(p_roots[:n_p], q_roots, E0, params))
+    _assert_entries_close(gaudin_matrix(q_roots, E0, params),
+                          _gaudin_matrix_loop(q_roots, E0, params))
+
+    seen = []
+    det_scaled = scalar_mod.det_scaled
+    monkeypatch.setattr(scalar_mod, "det_scaled", lambda m: seen.append(m) or det_scaled(m))
+    for n_p in (n + 1, n + 2):
+        seen.clear()
+        sp_slavnov_gen(SeparateStateSpec(qpoly, E0, "left"),
+                       SeparateStateSpec(TrigPoly(roots=tuple(p_roots[:n_p])), E0, "right"),
+                       params, gauge)
+        _assert_entries_close(seen[-1], _rectangular_matrix_loop(q_roots, p_roots[:n_p], E0,
+                                                                 params))
+
+
+def test_jacobian_forms_reject_mismatched_branches(onshell4):
+    params, gauge, basis, tau, qpoly = onshell4
+    p = TrigPoly(roots=(0.52 + 0.33j, 0.91 - 0.41j, 1.21 + 0.52j, 0.66 - 0.2j, 0.47 + 0.58j))
+    for form, p_poly in ((sp_slavnov, TrigPoly(roots=p.roots[:qpoly.degree])),
+                         (sp_slavnov_gen, TrigPoly(roots=p.roots[:qpoly.degree + 1]))):
+        with pytest.raises(ValueError, match="matching sign branches"):
+            form(SeparateStateSpec(qpoly, E0, "left"), SeparateStateSpec(p_poly, E1, "right"),
+                 params, gauge)

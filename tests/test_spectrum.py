@@ -126,9 +126,9 @@ def test_sov_eigenvectors(setup3):
     params, gauge, taus = setup3
     basis = SovBasis(params, gauge)
     for tau in taus:
-        vr = sov_eigenvector(tau, params, gauge, EPS0, "right", basis)
+        vr = sov_eigenvector(tau, basis, EPS0, "right")
         assert eigen_residual([tau], [vr], params, "right") < 1e-8
-        vl = sov_eigenvector(tau, params, gauge, EPS0, "left", basis)
+        vl = sov_eigenvector(tau, basis, EPS0, "left")
         assert eigen_residual([tau], [vl], params, "left") < 1e-8
         cosang = abs(np.vdot(tau.eigvec_right, vr)) \
             / (np.linalg.norm(tau.eigvec_right) * np.linalg.norm(vr))
@@ -138,8 +138,8 @@ def test_sov_eigenvectors(setup3):
 def test_eigenvector_biorthogonality(setup3):
     params, gauge, taus = setup3
     basis = SovBasis(params, gauge)
-    rights = [sov_eigenvector(t, params, gauge, EPS0, "right", basis) for t in taus]
-    lefts = [sov_eigenvector(t, params, gauge, EPS0, "left", basis) for t in taus]
+    rights = [sov_eigenvector(t, basis, EPS0, "right") for t in taus]
+    lefts = [sov_eigenvector(t, basis, EPS0, "left") for t in taus]
     for i, l in enumerate(lefts):
         for j, r in enumerate(rights):
             val = l @ r
@@ -152,9 +152,9 @@ def test_q_rescaling_changes_eigenvector_by_scalar(setup3):
     basis = SovBasis(params, gauge)
     tau = taus[1]
     qd = q_discrete(tau, params, EPS0)
-    v1 = sov_eigenvector(tau, params, gauge, EPS0, "right", basis, qvals=qd)
+    v1 = sov_eigenvector(tau, basis, EPS0, "right", qvals=qd)
     qd2 = {k: 2.5 * v if k[0] == 2 else v for k, v in qd.items()}
-    v2 = sov_eigenvector(tau, params, gauge, EPS0, "right", basis, qvals=qd2)
+    v2 = sov_eigenvector(tau, basis, EPS0, "right", qvals=qd2)
     ratios = v2[np.abs(v1) > 1e-8] / v1[np.abs(v1) > 1e-8]
     assert np.max(np.abs(ratios - ratios[0])) < 1e-9 * abs(ratios[0])
 
