@@ -128,23 +128,15 @@ class VsRational:
                                 Poly.polyfromroots(poles)), poles)
 
 
-def _level_coeff(gamma, delta, fb_coef, ref_coef, L: int, k: int) -> complex:
-    """Coefficient k of fbar^(L) + g^(L), with g^(L) as combined by ``g_levels``."""
-    out = fb_coef[L].coeff(k) + delta[L] * ref_coef.coeff(k)
-    for j, c in gamma[L].items():
-        out += c * fb_coef[j].coeff(k)
-    return out
-
-
 def g_levels(fb_coef, ref_coef, a_sum, eta, top: int, low: int, offset: int):
     """The downward recursion for the correction functions, from ``top`` to ``low``.
 
     Level L is kept as g^(L) = sum_j gamma[L][j] fbar^(j) + delta[L] * ref.
     ``fb_coef`` and ``ref_coef`` hold the exactly interpolated numerator
-    coefficients of fbar^(j) and of the reference over a common denominator.
-    fbar^(L) has degree offset + L and g^(L) cancels its top coefficient;
-    coefficient offset + L of level L + 1 is the z -> infinity limit that
-    fixes the step down to level L.
+    coefficients of fbar^(j) (j > low) and of the reference over a common
+    denominator.  fbar^(L) has degree offset + L and g^(L) cancels its top
+    coefficient; coefficient offset + L of level L + 1 is the z -> infinity
+    limit that fixes the step down to level L.
     """
     gamma = {top: {}}
     delta = {top: 1.0 + 0j}
@@ -152,109 +144,103 @@ def g_levels(fb_coef, ref_coef, a_sum, eta, top: int, low: int, offset: int):
         den = np.sinh((L + 1 - top) * eta - a_sum)
         if abs(den) < 1e-10:
             raise ValueError("resonant induction denominator; perturb the a-set")
-        k_fac = _level_coeff(gamma, delta, fb_coef, ref_coef, L + 1, offset + L) / den
+        k = offset + L
+        coef = fb_coef[L + 1].coeff(k) + delta[L + 1] * ref_coef.coeff(k)
+        for j, c in gamma[L + 1].items():
+            coef += c * fb_coef[j].coeff(k)
         new_gamma = {j: -c for j, c in gamma[L + 1].items()}
-        new_gamma[L] = new_gamma.get(L, 0.0) + (k_fac - 1.0)
+        new_gamma[L] = new_gamma.get(L, 0.0) + (coef / den - 1.0)
         new_gamma[L + 1] = new_gamma.get(L + 1, 0.0) - 1.0
         gamma[L] = new_gamma
         delta[L] = -delta[L + 1]
     return gamma, delta
 
 
-def level_handle(gamma_l, delta_l, fb_fns, ref_fn):
-    """The callable sum_j gamma_l[j] fbar^(j) + delta_l * ref of one level."""
+def g_family(f, ref_roots, a_sum, eta, level: int, top: int, offset: int,
+             poles=(), radius=None):
+    """The correction function g^(level) of the handle f, elementwise in lam.
+
+    At ``top`` it is the reference sinh(a_sum - eta) prod_r (vs - vs(r)) over
+    ``ref_roots``; above, (-1)^(level - top) times the reference minus
+    fbar^(level).  Below, ``g_levels`` runs on the numerator coefficients of
+    fbar^(j) (degree offset + j over ``poles``), sampled on a circle of the
+    given radius: the infinite-point limits need only their top band, which
+    circle sampling recovers accurately.
+    """
+    ref_poly = TrigPoly(tuple(ref_roots))
+    ref_scale = np.sinh(a_sum - eta)
+
+    def base(lam):
+        return ref_scale * ref_poly(lam)
+
+    if level == top:
+        return base
+    if level > top:
+        fb_level = fbar_j(f, level, eta)
+
+        def g_above(lam):
+            return (-1) ** (level - top) * base(lam) - fb_level(lam)
+        return g_above
+
+    fb_fns = {j: fbar_j(f, j, eta) for j in range(level, top + 1)}
+    fb_coef = {j: VsRational.from_function(fb_fns[j], offset + j, poles, radius)
+               for j in range(level + 1, top + 1)}
+    ref_coef = VsRational.from_vs_poly(
+        ref_scale * Poly.polyfromroots(varsigma(np.asarray(ref_roots))), poles)
+    gamma, delta = g_levels(fb_coef, ref_coef, a_sum, eta, top, level, offset)
+
     def g(lam):
-        out = delta_l * ref_fn(lam)
-        for j, c in gamma_l.items():
+        out = delta[level] * base(lam)
+        for j, c in gamma[level].items():
             out += c * fb_fns[j](lam)
         return out
 
     return g
 
 
-def _ghat_family(a_set, x_set, eta, low: int):
-    """The correction functions of the exchange identities, down to level ``low``.
-
-    The infinite-point limits need only the top band of numerator
-    coefficients, which circle sampling recovers accurately.  Returns
-    (callables by level, (gamma, delta, fbar coefficients, reference)).
-    """
-    n = len(x_set)
-    poles = tuple(varsigma(x + eta / 2) for x in x_set) \
-        + tuple(varsigma(x - eta / 2) for x in x_set)
-    a_sum = sum(a_set)
-    f_ex = f_special(tuple(eta / 2 - a for a in a_set), x_set, eta)
-
-    fb_fns = {j: fbar_j(f_ex, j, eta) for j in range(low, n + 1)}
-    fb_coef = {j: VsRational.from_function(fb_fns[j], 2 * n + j, poles)
-               for j in range(low, n + 1)}
-    xpoly = TrigPoly(x_set)
-    xd = VsRational.from_vs_poly(
-        np.sinh(a_sum - eta) * Poly.polyfromroots([varsigma(x) for x in x_set]), poles)
-
-    def ref(lam):
-        return np.sinh(a_sum - eta) * xpoly(lam)
-
-    gamma, delta = g_levels(fb_coef, xd, a_sum, eta, n, low, 2 * n)
-    ghat_fns = {L: level_handle(gamma[L], delta[L], fb_fns, ref) for L in gamma}
-    return ghat_fns, (gamma, delta, fb_coef, xd)
-
-
 def check_identity_D(variant: int, a_set, x_set, z_set, eta):
-    """Relative difference of the two sides of the exchange identities."""
+    """Relative difference of the two sides of the exchange identities.
+
+    Every variant reads (-1)^m c A_z[f_ex, g^(m)] on the right, with g present
+    for four a's only and c = 1 / prod_{j=1}^{m-n} sinh(a_sum - j eta) for
+    m >= n, prod_{j=0}^{n-m-1} sinh(a_sum + j eta) for m < n; ``variant``
+    names which case the sizes fall in.
+    """
     a_set, x_set, z_set = tuple(a_set), tuple(x_set), tuple(z_set)
     n_a, n, m = len(a_set), len(x_set), len(z_set)
-    a_sum = sum(a_set)
-    f_az = f_special(a_set, z_set, eta)
-    f_ex = f_special(tuple(eta / 2 - a for a in a_set), x_set, eta)
-    lhs = a_functional(x_set, f_az, eta)
-
-    xpoly = TrigPoly(x_set)
-
-    if variant == 1:
-        assert n == m
-        if n_a == 4:
-            def g(lam):
-                return np.sinh(a_sum - eta) * xpoly(lam)
-        else:
-            g = None
-        rhs = (-1) ** n * a_functional(z_set, f_ex, eta, g)
-    elif variant == 2:
-        assert n < m
-        if n_a == 4:
-            fb_m = fbar_j(f_ex, m, eta)
-
-            def g(lam):
-                return (-1) ** (m - n) * np.sinh(a_sum - eta) * xpoly(lam) - fb_m(lam)
-        else:
-            g = None
-        denom = np.prod([np.sinh(a_sum - j * eta) for j in range(1, m - n + 1)])
-        rhs = (-1) ** m * a_functional(z_set, f_ex, eta, g) / denom
-    elif variant == 3:
-        assert n_a == 2 and m < n
-        pref = (-1) ** m * np.prod([np.sinh(a_sum + j * eta) for j in range(n - m)])
-        rhs = pref * a_functional(z_set, f_ex, eta)
-    elif variant == 4:
-        assert n_a == 4 and m < n
-        ghat, _ = _ghat_family(a_set, x_set, eta, m)
-        pref = (-1) ** m * np.prod([np.sinh(a_sum + j * eta) for j in range(n - m)])
-        rhs = pref * a_functional(z_set, f_ex, eta, ghat[m])
-    else:
+    cases = {1: n == m, 2: n < m, 3: n_a == 2 and m < n, 4: n_a == 4 and m < n}
+    if variant not in cases:
         raise ValueError(f"unknown variant {variant}")
-
+    assert cases[variant]
+    a_sum = sum(a_set)
+    f_ex = f_special(tuple(eta / 2 - a for a in a_set), x_set, eta)
+    g = g_family(f_ex, x_set, a_sum, eta, m, n, 2 * n, f_ex.poles) if n_a == 4 else None
+    if m >= n:
+        c = 1 / np.prod([np.sinh(a_sum - j * eta) for j in range(1, m - n + 1)])
+    else:
+        c = np.prod([np.sinh(a_sum + j * eta) for j in range(n - m)])
+    lhs = a_functional(x_set, f_special(a_set, z_set, eta), eta)
+    rhs = (-1) ** m * c * a_functional(z_set, f_ex, eta, g)
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return abs(lhs - rhs) / scale, lhs, rhs
 
 
 def degree_cancellation_residual(a_set, x_set, eta) -> float:
-    """Top-coefficient cancellation of fbar^(L) + ghat^(L) at every level."""
+    """Top-coefficient cancellation of fbar^(L) + g^(L) at every level.
+
+    The coefficients are read from fresh circle samples of the sum, not from
+    the ones the recursion used.
+    """
     n = len(x_set)
-    _, (gamma, delta, fb_coef, xd) = _ghat_family(a_set, x_set, eta, 1)
+    f_ex = f_special(tuple(eta / 2 - a for a in a_set), x_set, eta)
     worst = 0.0
     for L in range(1, n + 1):
-        top = _level_coeff(gamma, delta, fb_coef, xd, L, 2 * n + L)
-        ref = max(abs(fb_coef[L].coeff(2 * n + L)), 1e-300)
-        worst = max(worst, abs(top) / ref)
+        fb = fbar_j(f_ex, L, eta)
+        g = g_family(f_ex, x_set, sum(a_set), eta, L, n, 2 * n, f_ex.poles)
+        alone = VsRational.from_function(fb, 2 * n + L, f_ex.poles)
+        both = VsRational.from_function(lambda lam: fb(lam) + g(lam), 3 * n, f_ex.poles)
+        worst = max(worst, abs(both.coeff(2 * n + L))
+                    / max(abs(alone.coeff(2 * n + L)), 1e-300))
     return worst
 
 
@@ -284,14 +270,9 @@ def onshell_solve(f, x_init, eta, tol: float = 1e-11, maxit: int = 50):
     L = len(x)
 
     def system(xv):
-        res = np.empty(L, dtype=complex)
-        scl = np.empty(L)
-        for k in range(L):
-            lhs = f(-xv[k])
-            rhs = f(xv[k]) * phi_ratio(xv[k], xv, eta)
-            res[k] = lhs - rhs
-            scl[k] = max(abs(lhs), abs(rhs), 1e-300)
-        return res, scl
+        lhs = f(-xv)
+        rhs = f(xv) * phi_ratio(xv, xv, eta)
+        return lhs - rhs, np.maximum(np.maximum(abs(lhs), abs(rhs)), 1e-300)
 
     best = None
     for _ in range(maxit):
@@ -326,116 +307,82 @@ def x_weights(x_set, gx, fmx, eta):
                      for xk, gk, fk in zip(x_set, gx, fmx)])
 
 
+def bethe_kernel(ys, w_pm, xs, c_plus, c_minus, eta) -> np.ndarray:
+    """Entry (i, k) = sum_s w_s(y_i) [c_plus_k / (vs(y_i + s eta/2) - vs(x_k + eta/2))
+    + c_minus_k / (vs(y_i + s eta/2) - vs(x_k - eta/2))], with w_pm = (w_+, w_-)."""
+    vx_plus, vx_minus = varsigma(xs + eta / 2), varsigma(xs - eta / 2)
+    out = 0
+    for sgn, w in zip((1, -1), w_pm):
+        vy = varsigma(ys + sgn * eta / 2)[:, None]
+        out = out + w[:, None] * (c_plus / (vy - vx_plus) + c_minus / (vy - vx_minus))
+    return out
+
+
+def correction_column(ys, w_pm, head, xs, xg, eta) -> np.ndarray:
+    """The rank-one column: head_i minus bethe_kernel's row sums with c_+ = 0, c_- = X^g.
+
+    That is head_i - sum_s w_s(y_i) sum_k X^g_k / (vs(y_i + s eta/2) - vs(x_k - eta/2)).
+    """
+    return head - bethe_kernel(ys, w_pm, xs, 0, xg, eta).sum(axis=1)
+
+
 def check_identity_E(variant: int, f, g, x_set, y_set, eta):
     """Relative difference of the functional against its Slavnov-type form.
 
     Kinematic factors and determinants are assembled in extended precision:
     the Slavnov-type matrices are graded by the phi ratios and plain double
     assembly loses the graded digits in the determinant cancellation.  The
-    handles f and g themselves are evaluated at their native precision.
+    handles f and g (elementwise in lam) are evaluated at their native
+    precision.  Returns the difference and, for variant 1, the on-shell
+    residual of f.
     """
     ld = np.clongdouble
     etx = ld(eta)
-    x_set = list(x_set)
-    y_set = list(y_set)
     l1, l2 = len(x_set), len(y_set)
-    xs = np.array(x_set, dtype=ld)
-    ys = np.array(y_set, dtype=ld)
-
-    xpoly = TrigPoly(tuple(xs))
-    fx = np.array([ld(complex(f(complex(x)))) for x in x_set])
-    fmx = np.array([ld(complex(f(-complex(x)))) for x in x_set])
-    fy = np.array([ld(complex(f(complex(y)))) for y in y_set])
-    fmy = np.array([ld(complex(f(-complex(y)))) for y in y_set])
-    gx = np.array([ld(complex(g(complex(x)))) for x in x_set]) if g is not None \
-        else np.zeros(l1, dtype=ld)
-    gy = np.array([ld(complex(g(complex(y)))) for y in y_set]) if g is not None \
-        else np.zeros(l2, dtype=ld)
+    pts = np.array(list(x_set) + list(y_set), dtype=complex)
+    fz, fmz = np.asarray(f(pts), dtype=ld), np.asarray(f(-pts), dtype=ld)
+    gz = np.asarray(g(pts), dtype=ld) if g is not None else np.zeros(l1 + l2, dtype=ld)
+    pts = pts.astype(ld)
+    xs, ys = pts[:l1], pts[l1:]
+    fx, fy, fmx, fmy, gy = fz[:l1], fz[l1:], fmz[:l1], fmz[l1:], gz[l1:]
 
     # left side: the dressed-Vandermonde functional in the same precision
-    pts = np.concatenate([xs, ys])
-    mat = functional_matrix(pts, np.concatenate([fx, fy]), np.concatenate([fmx, fmy]),
-                            np.concatenate([gx, gy]), etx)
-    lhs = det_scaled(mat) / vdm_hat(pts)
+    lhs = det_scaled(functional_matrix(pts, fz, fmz, gz, etx)) / vdm_hat(pts)
 
-    phis = np.array([phi_ratio(x, xs, etx) for x in xs])
-    xg = x_weights(xs, gx, fmx, etx)
+    xpoly = TrigPoly(tuple(xs))
+    fx_phi = fx * phi_ratio(xs, xs, etx)
+    xg = x_weights(xs, gz[:l1], fmx, etx)
     sg = 1 + np.sum(xg)
+    w_pm = (fy * xpoly(ys + etx), fmy * xpoly(ys - etx))
+    pref = vdm_hat(xs - etx / 2) / vdm_hat(xs + etx / 2) / (vdm_hat(xs[::-1]) * vdm_hat(ys))
 
-    vs_m = vdm_hat(xs - etx / 2)
-    vs_p = vdm_hat(xs + etx / 2)
-    v_xrev = vdm_hat(xs[::-1])
-    v_y = vdm_hat(ys)
-
+    res_onshell = None
     if variant == 1:
         assert l1 == l2
-        res_onshell = float(max(abs(fmx[k] - fx[k] * phis[k])
-                                / max(abs(fmx[k]), abs(fx[k] * phis[k]))
-                                for k in range(l1)))
-        mat = np.zeros((l1, l1), dtype=ld)
-        for i in range(l1):
-            for k in range(l1):
-                acc = ld(0)
-                for sgn, fv in ((1, fy[i]), (-1, fmy[i])):
-                    xk_shift = np.prod([varsigma(ys[i] + sgn * etx) - varsigma(xs[j])
-                                        for j in range(l1) if j != k]) \
-                        if l1 > 1 else ld(1)
-                    acc += fv * xk_shift / (varsigma(ys[i]) - varsigma(xs[k]))
-                mat[i, k] = acc
-        pref = np.prod(np.sinh(etx) * fmx * np.sinh(2 * xs))
-        rhs = pref * vs_m / vs_p * sg * det_scaled(mat) / (v_xrev * v_y)
-        scale = max(abs(lhs), abs(rhs), 1e-300)
-        return float(abs(lhs - rhs) / scale), res_onshell
-
-    if variant == 2:
-        assert l1 == l2
-        mat = np.zeros((l1, l1), dtype=ld)
-        for i in range(l1):
-            for k in range(l1):
-                bethe = fmx[k] - fx[k] * phis[k]
-                acc = ld(0)
-                for sgn, fv in ((1, fy[i]), (-1, fmy[i])):
-                    vsy = varsigma(ys[i] + sgn * etx / 2)
-                    term = fmx[k] / (vsy - varsigma(xs[k] + etx / 2)) \
-                        - fx[k] * phis[k] / (vsy - varsigma(xs[k] - etx / 2))
-                    # minus sign: Schur complement through the
-                    # Sherman-Morrison inverse, cf. the rectangular variant
-                    term -= bethe / sg * np.sum(
-                        xg / (vsy - varsigma(xs - etx / 2)))
-                    acc += fv * xpoly(ys[i] + sgn * etx) * term
-                acc += gy[i] / xpoly(ys[i]) * bethe / sg
-                mat[i, k] = acc
-        rhs = vs_m / vs_p * sg * det_scaled(mat) / (v_xrev * v_y)
-        scale = max(abs(lhs), abs(rhs), 1e-300)
-        return float(abs(lhs - rhs) / scale), None
-
-    if variant == 3:
-        assert l1 < l2
-        mat = np.zeros((l2, l2), dtype=ld)
-        for i in range(l2):
-            for k in range(l2):
-                acc = ld(0)
-                if k < l1:
-                    for sgn, fv in ((1, fy[i]), (-1, fmy[i])):
-                        vsy = varsigma(ys[i] + sgn * etx / 2)
-                        term = fmx[k] / (vsy - varsigma(xs[k] + etx / 2)) \
-                            - fx[k] * phis[k] / (vsy - varsigma(xs[k] - etx / 2))
-                        acc += fv * xpoly(ys[i] + sgn * etx) * term
-                else:
-                    for sgn, fv in ((1, fy[i]), (-1, fmy[i])):
-                        vsy = varsigma(ys[i] + sgn * etx / 2)
-                        term = vsy ** (k - l1)
-                        if k == l2 - 1 and l1:
-                            term -= np.sum(xg / (vsy - varsigma(xs - etx / 2)))
-                        acc += fv * xpoly(ys[i] + sgn * etx) * term
-                    if k == l2 - 1:
-                        acc += gy[i] / xpoly(ys[i])
-                mat[i, k] = acc
-        rhs = vs_m / vs_p * det_scaled(mat) / (v_xrev * v_y)
-        scale = max(abs(lhs), abs(rhs), 1e-300)
-        return float(abs(lhs - rhs) / scale), None
-
-    raise ValueError(f"unknown variant {variant}")
+        res_onshell = float(np.max(abs(fmx - fx_phi) / np.maximum(abs(fmx), abs(fx_phi))))
+        vx = varsigma(xs)
+        mat = sum(w[:, None] / ((varsigma(ys + sgn * etx)[:, None] - vx)
+                                * (varsigma(ys)[:, None] - vx))
+                  for sgn, w in zip((1, -1), w_pm))
+        pref *= np.prod(np.sinh(etx) * fmx * np.sinh(2 * xs)) * sg
+    elif variant in (2, 3):
+        kernel = bethe_kernel(ys, w_pm, xs, fmx, -fx_phi, etx)
+        corr = correction_column(ys, w_pm, gy / xpoly(ys), xs, xg, etx)
+        if variant == 2:
+            assert l1 == l2
+            # the Schur complement through the Sherman-Morrison inverse
+            mat = kernel + corr[:, None] * (fmx - fx_phi) / sg
+            pref *= sg
+        else:
+            assert l1 < l2
+            mat = np.concatenate(
+                [kernel, functional_matrix(ys, *w_pm, 0, etx)[:, :l2 - l1]], axis=1)
+            mat[:, -1] += corr
+    else:
+        raise ValueError(f"unknown variant {variant}")
+    rhs = pref * det_scaled(mat)
+    scale = max(abs(lhs), abs(rhs), 1e-300)
+    return float(abs(lhs - rhs) / scale), res_onshell
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ jacobian forms with their rank-one-corrected rectangular generalization.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +28,8 @@ from .sov import (
     sov_state,
     sov_weights,
 )
-from .detid import (VsRational, a_functional_values, fbar_j, functional_matrix, g_levels,
-                    level_handle, x_weights)
-
-Poly = np.polynomial.polynomial
+from .detid import (a_functional_values, correction_column, functional_matrix, g_family,
+                    x_weights)
 
 
 @dataclass(frozen=True)
@@ -162,47 +161,21 @@ def f_eps(lam, aset: ASet, params: ModelParams):
     return out
 
 
+@functools.lru_cache
 def g_eps_handle(level: int, aset: ASet, params: ModelParams):
     """The correction function g at the requested level (None when absent).
 
-    The handle is elementwise in lam, as f_eps is.
+    The handle is elementwise in lam, as f_eps is.  fbar^(j) is a polynomial
+    in varsigma of degree N + j, and the recursion reads the coefficients of
+    prod_l sinh(a_l) times it, with the shifted grid as reference roots.
     """
     if aset.mixed_sign or aset.n_a != 4:
         return None
-    N = params.N
-    eta = params.eta
-    a_sum = aset.total
     prod_sinh = np.prod([np.sinh(a) for a in aset.values])
-
-    def f(lam):
-        return f_eps(lam, aset, params)
-
-    def g_base(lam):
-        a, d = bulk_ad(lam, params)
-        am, dm = bulk_ad(-lam, params)
-        return np.sinh(a_sum - eta) / prod_sinh * a * d * am * dm
-
-    if level == N:
-        return g_base
-    if level > N:
-        fb_top = fbar_j(f, level, eta)
-
-        def g(lam):
-            return (-1) ** (level - N) * g_base(lam) - fb_top(lam)
-        return g
-
-    # fbar^(j) is a polynomial in varsigma of degree N + j; the recursion
-    # reads the coefficients of prod_l sinh(a_l) times fbar^(j) and g_base,
-    # for j above the requested level only
-    fb_fns = {j: fbar_j(f, j, eta) for j in range(level, N + 1)}
     radius = 2.0 + max(abs(varsigma(x)) for x in params.xi)
-    fb_coef = {j: VsRational.from_function(lambda lam, fb=fb: prod_sinh * fb(lam),
-                                           N + j, (), radius)
-               for j, fb in fb_fns.items() if j > level}
-    grid = varsigma(params.xi_grid()).ravel()
-    ref_coef = VsRational(np.sinh(a_sum - eta) * Poly.polyfromroots(grid), ())
-    gamma, delta = g_levels(fb_coef, ref_coef, a_sum, eta, N, level, N)
-    return level_handle(gamma[level], delta[level], fb_fns, g_base)
+    g = g_family(lambda lam: prod_sinh * f_eps(lam, aset, params), params.xi_grid().ravel(),
+                 aset.total, params.eta, level, params.N, params.N, radius=radius)
+    return lambda lam: g(lam) / prod_sinh
 
 
 def z_beta(params: ModelParams, gauge: GaugeParams) -> complex:
@@ -401,19 +374,15 @@ def sp_slavnov_gen(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
     qp, t_minus, t_plus = table
     # f_+/- = +/- A(-/+ p) sinh(2p +/- eta) Q(p +/- eta) / Q(p): the added
     # columns are the first n_p - n_q columns of the functional's matrix
-    f_pm = {1: t_plus * np.sinh(2 * p + eta) / qp, -1: -t_minus * np.sinh(2 * p - eta) / qp}
+    f_pm = (t_plus * np.sinh(2 * p + eta) / qp, -t_minus * np.sinh(2 * p - eta) / qp)
     s_mat = np.concatenate([_jacobian(p, q, table, eta),
-                            functional_matrix(p, f_pm[1], f_pm[-1], 0, eta)[:, :n_p - n_q]],
-                           axis=1)
+                            functional_matrix(p, *f_pm, 0, eta)[:, :n_p - n_q]], axis=1)
 
     # rank-one correction: a single non-zero column at the last position
     if g is not None:
-        w = _root_weights(q, g, aset, params)
-        cosh_q = np.cosh(2 * q - eta)
-        col = g(p) * np.sinh(2 * p + eta) * np.sinh(2 * p - eta) / qp ** 2
-        for sgn, f in f_pm.items():
-            col -= f * np.sum(2 * w / (np.cosh(2 * p + sgn * eta)[:, None] - cosh_q), axis=1)
-        s_mat[:, n_p - 1] += col
+        head = g(p) * np.sinh(2 * p + eta) * np.sinh(2 * p - eta) / qp ** 2
+        s_mat[:, n_p - 1] += correction_column(p, f_pm, head, q,
+                                               _root_weights(q, g, aset, params), eta)
 
     # prefactors per the rectangular-exchange derivation: the jacobian columns
     # absorb one f(-q_k) each and no 1/(sinh eta sinh 2q_k) factors survive

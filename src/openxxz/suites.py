@@ -410,13 +410,14 @@ def suite_scalarprod(config: RunConfig) -> list:
         aset = build_aset(e0, e0, cpar)
         for tau in brute_spectrum(cpar):
             sol = solve_tq(tau, cpar, e0, "homogeneous")
-            if sol.residual < 1e-8 and sol.q.degree >= 2:
+            if sol.residual < 1e-8 and sol.q.degree >= 1:
                 roots = onshell_solve(lambda lam: f_eps(lam, aset, cpar),
                                       np.array(sol.q.roots), cpar.eta, tol=1e-12)
                 qpoly = TrigPoly(roots=tuple(roots))
                 break
         else:
-            return float("inf")
+            raise ValueError("no eigenvalue has a homogeneous T-Q solution with a root "
+                             "and residual below 1e-8")
         n = qpoly.degree
         p = poly_of(n, -1)
         qs = SeparateStateSpec(qpoly, e0, "left")

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from openxxz import suites
 from openxxz.report import CheckRecord, VerificationReport, params_digest
 from openxxz.suites import RunConfig, _Recorder, homog_sweep, run_suite
 from openxxz.cli import _emit, main
@@ -117,6 +119,26 @@ def test_run_suite_detid_isolated():
     report = run_suite(config)
     assert report.all_passed()
     assert {r.suite for r in report.records} == {"identities"}
+
+
+def _onshell_record(n_sites):
+    report = run_suite(RunConfig(n_sites=n_sites, seed=0, suites=("scalarprod",)))
+    (rec,) = [r for r in report.records if r.case == "slavnov-gaudin-onshell"]
+    return rec
+
+
+def test_onshell_record_at_one_site():
+    # a single-site chain has on-shell states with one root
+    rec = _onshell_record(1)
+    assert rec.passed and rec.error == ""
+
+
+def test_onshell_record_without_a_solution_carries_the_error(monkeypatch):
+    solve = suites.solve_tq
+    monkeypatch.setattr(suites, "solve_tq", lambda *args: dataclasses.replace(
+        solve(*args), residual=1.0))
+    rec = _onshell_record(2)
+    assert not rec.passed and rec.error.startswith("ValueError: ")
 
 
 def test_run_suite_deterministic():
