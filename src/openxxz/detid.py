@@ -20,6 +20,8 @@ from .trig import TrigPoly, canonical_root, varsigma, vdm_hat
 from .lattice import det_scaled
 
 Poly = np.polynomial.polynomial
+# generic_point_set's least varsigma separation, phi-ratio bound and draws
+POINT_SEP, POINT_MAX_PHI, POINT_TRIES = 0.08, 3e3, 500
 
 
 def functional_matrix(zs, fz, fmz, gz, eta) -> np.ndarray:
@@ -409,14 +411,13 @@ def random_fn_handle(rng, eta):
     return f
 
 
-def generic_point_set(rng, n, eta, others=(), sep: float = 0.08,
-                      max_phi: float = 3e3, tries: int = 500):
+def generic_point_set(rng, n, eta, others=()):
     """Random points whose plain and eta-shifted varsigma values stay separated.
 
     Near-collisions of vs(x_k +/- eta) with vs(x_l) blow up the phi ratios and
     the rank-one corrections; this is the identity-suite analog of the chain's
-    genericity condition on the shifted inhomogeneities.  ``max_phi`` bounds
-    the aggregate ratio magnitudes of the candidate set itself.
+    genericity condition on the shifted inhomogeneities.  ``POINT_MAX_PHI``
+    bounds the aggregate ratio magnitudes of the candidate set itself.
     """
     others = varsigma(np.asarray(others, dtype=complex))
     # columns of vs: the point, then the point shifted by eta, -eta, eta/2, -eta/2
@@ -426,18 +427,18 @@ def generic_point_set(rng, n, eta, others=(), sep: float = 0.08,
     keep = np.ones((n, 5, n + len(others)), dtype=bool)
     keep[np.arange(n), 0, np.arange(n)] = False
     keep[:, 0, n:] = False
-    for _ in range(tries):
+    for _ in range(POINT_TRIES):
         pts = rng.uniform(0.2, 1.3, n) + 1j * rng.uniform(-0.45, 0.45, n)
         vs = varsigma(pts[:, None] + shifts)
-        near = abs(vs[:, :, None] - np.concatenate([vs[:, 0], others])) < sep
+        near = abs(vs[:, :, None] - np.concatenate([vs[:, 0], others])) < POINT_SEP
         if (near & keep).any():
             continue
-        if max_phi is not None and n > 0:
+        if n > 0:
             # phi_ratio of every point, from the same varsigma values
             s = np.sinh(2 * pts[:, None] + np.array([-eta, eta]))
             x = (vs[:, 1:3, None] - vs[:, 0]).prod(axis=2)
             mags = abs(s[:, 0] / s[:, 1] * x[:, 0] / x[:, 1])
-            if mags.max() > max_phi or mags.min() < 1 / max_phi:
+            if mags.max() > POINT_MAX_PHI or mags.min() < 1 / POINT_MAX_PHI:
                 continue
         return list(pts)
     raise RuntimeError("could not sample a generic point set")

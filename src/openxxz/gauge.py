@@ -66,7 +66,7 @@ def s_local_inv(lam, beta, alpha, eta) -> np.ndarray:
 
 
 def r_sos(lam, beta, eta) -> np.ndarray:
-    """Trigonometric SOS (dynamical) R-matrix, stacked over an array of beta.
+    """Trigonometric SOS (dynamical) R-matrix, stacked over broadcast lam and beta.
 
     A scalar beta keeps numpy's scalar arithmetic, whose complex division
     rounds differently from the array loop."""
@@ -74,7 +74,7 @@ def r_sos(lam, beta, eta) -> np.ndarray:
     if np.any(np.abs(sb) < 1e-14):
         raise ValueError("dynamical pole: sinh(eta*beta) = 0")
     sl, se, sle = np.sinh(lam), np.sinh(eta), np.sinh(lam + eta)
-    out = np.zeros(np.shape(beta) + (4, 4), dtype=complex)
+    out = np.zeros(np.broadcast_shapes(np.shape(lam), np.shape(beta)) + (4, 4), dtype=complex)
     out[..., 0, 0] = out[..., 3, 3] = sle
     out[..., 1, 1] = np.sinh(eta * (beta + 1)) / sb * sl
     out[..., 1, 2] = np.sinh(lam + eta * beta) / sb * se
@@ -138,25 +138,34 @@ def s_aux_dyn(lam, beta, alpha, params: ModelParams) -> AuxOp:
     return _aux_diag(_sz_stack(lambda k: s_local(lam, beta + k, alpha, params.eta), params.N))
 
 
+def _site_stacks(lam, params: ModelParams, beta) -> list:
+    """The ``_sz_stack`` of r_sos(lam[n - 1], beta + k) for each site n, read
+    from one r_sos call on the grid of sites and shifts k = -(N-1)..N-1."""
+    N = params.N
+    # labels as a row keep the numpy loops, and so the bits, of per-site stacks
+    grid = r_sos(np.asarray(lam)[:, None], beta + np.arange(1 - N, N)[None, :], params.eta)
+    return [grid[n - 1, n - 1 + 2 * _sz_index(N - n)] for n in range(1, N + 1)]
+
+
 def m_sos(lam, params: ModelParams, beta) -> AuxOp:
     """Gauged bulk monodromy: ordered product of dynamical R_{n0} factors."""
-    N, eta = params.N, params.eta
+    N = params.N
+    stacks = _site_stacks(lam - np.array(params.xi) - params.eta / 2, params, beta)
     out = AuxOp.identity(2 ** N)
     for n in range(N, 0, -1):
-        r = _sz_stack(lambda k: r_sos(lam - params.xi[n - 1] - eta / 2, beta + k, eta), N - n)
         # swapping the two legs moves the site leg of R_{n0} second, as
         # apply_local expects
-        out = apply_local(out, r[:, _SWAP][:, :, _SWAP], n)
+        out = apply_local(out, stacks[n - 1][:, _SWAP][:, :, _SWAP], n)
     return out
 
 
 def mhat_sos(lam, params: ModelParams, beta) -> AuxOp:
     """Gauged hat monodromy: ordered product of dynamical R_{0n} factors."""
-    N, eta = params.N, params.eta
+    N = params.N
+    stacks = _site_stacks(lam + np.array(params.xi) - params.eta / 2, params, beta)
     out = AuxOp.identity(2 ** N)
     for n in range(1, N + 1):
-        out = apply_local(out, _sz_stack(
-            lambda k: r_sos(lam + params.xi[n - 1] - eta / 2, beta + k, eta), N - n), n)
+        out = apply_local(out, stacks[n - 1], n)
     return out
 
 

@@ -15,6 +15,7 @@ ID2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+TRANSFER_STEP = 1e-5  # finite-difference step of the Hamiltonian from the transfer matrix
 
 
 def site_op(mat2, n: int, N: int) -> np.ndarray:
@@ -26,10 +27,12 @@ def site_op(mat2, n: int, N: int) -> np.ndarray:
 
 
 class AuxOp:
-    """Operator on aux (x) H stored as a 2x2 array of quantum-space blocks."""
+    """Operator on aux (x) H stored as a 2x2 array of quantum-space blocks, at
+    least complex: wider dtypes (clongdouble, objects such as mpc) are kept."""
 
     def __init__(self, blocks):
-        self.blocks = np.asarray(blocks, dtype=complex)
+        blocks = np.asarray(blocks)
+        self.blocks = blocks.astype(np.promote_types(blocks.dtype, complex), copy=False)
         if self.blocks.shape[:2] != (2, 2) or self.blocks.shape[2] != self.blocks.shape[3]:
             raise ValueError("blocks must be a 2x2 array of square matrices")
 
@@ -75,10 +78,10 @@ class AuxOp:
 
     def left_scalar(self, mat2) -> "AuxOp":
         """Multiply by a scalar 2x2 auxiliary matrix from the left."""
-        return AuxOp(np.einsum("ik,kjab->ijab", np.asarray(mat2, dtype=complex), self.blocks))
+        return AuxOp(np.einsum("ik,kjab->ijab", np.asarray(mat2, self.blocks.dtype), self.blocks))
 
     def right_scalar(self, mat2) -> "AuxOp":
-        return AuxOp(np.einsum("ikab,kj->ijab", self.blocks, np.asarray(mat2, dtype=complex)))
+        return AuxOp(np.einsum("ikab,kj->ijab", self.blocks, np.asarray(mat2, self.blocks.dtype)))
 
     @property
     def A(self):
@@ -257,14 +260,14 @@ def _hamiltonian_direct(params: ModelParams) -> np.ndarray:
     return h
 
 
-def _hamiltonian_from_transfer(params: ModelParams, step: float = 1e-5) -> np.ndarray:
+def _hamiltonian_from_transfer(params: ModelParams) -> np.ndarray:
     """Derivative of the transfer matrix at eta/2, Richardson-refined."""
     lam0 = params.eta / 2
 
     def central(h):
         return (transfer(lam0 + h, params) - transfer(lam0 - h, params)) / (2 * h)
 
-    deriv = (4 * central(step / 2) - central(step)) / 3
+    deriv = (4 * central(TRANSFER_STEP / 2) - central(TRANSFER_STEP)) / 3
     pref = 2 * np.sinh(params.eta) ** (1 - 2 * params.N)
     pref /= np.trace(kmat_plus(lam0, params)) * np.trace(kmat_minus(lam0, params))
     return pref * deriv

@@ -6,16 +6,20 @@ of digits long before the regular determinant representations do.  This
 module re-evaluates the same dense contraction with mpmath so the
 homogeneous-limit sweeps keep a trustworthy reference column.
 
-Only small chains are intended (N <= 3 keeps it quick); formulas mirror the
-float implementations one-to-one.
+The local matrices and the scalars are evaluated in mp; the chain products
+run through the lattice kernels (``AuxOp``, ``apply_local``) on object arrays
+of mpc, factor by factor as the float code builds them.  Only small chains
+are intended (N <= 3 keeps it quick).
 """
 
 from __future__ import annotations
 
 import mpmath as mp
+import numpy as np
 
 from .trig import ModelParams
-from .gauge import GaugeParams
+from .lattice import SY, AuxOp, apply_local
+from .gauge import GaugeParams, _sz_index
 from .sov import EpsChoice
 
 
@@ -23,15 +27,9 @@ def _c(z):
     return mp.mpc(complex(z))
 
 
-def _zeros(n, m):
-    return mp.matrix(n, m)
-
-
-def _site_index(bits):
-    idx = 0
-    for b in bits:
-        idx = 2 * idx + b
-    return idx
+def _mat(arr):
+    """mp.matrix of an object array of mpc."""
+    return mp.matrix(arr.tolist())
 
 
 class _MpModel:
@@ -118,128 +116,55 @@ class _MpModel:
                 * mp.sinh(self.eta * lbl) / mp.sinh(self.eta * (self.beta + N - j))
         return out
 
-    # -- matrices ----------------------------------------------------------
+    # -- matrices: object arrays of mpc, multiplied by the lattice kernels ---
 
     def r6v(self, lam):
-        r = _zeros(4, 4)
-        r[0, 0] = r[3, 3] = mp.sinh(lam + self.eta)
-        r[1, 1] = r[2, 2] = mp.sinh(lam)
-        r[1, 2] = r[2, 1] = mp.sinh(self.eta)
-        return r
+        a, b, c, z = mp.sinh(lam + self.eta), mp.sinh(lam), mp.sinh(self.eta), mp.mpc(0)
+        return np.array([[a, z, z, z], [z, b, c, z], [z, c, b, z], [z, z, z, a]],
+                        dtype=object)
 
     def s_local(self, lam, beta):
-        s = _zeros(2, 2)
-        s[0, 0] = mp.exp(lam - self.eta * (beta + self.alpha))
-        s[0, 1] = mp.exp(lam + self.eta * (beta - self.alpha))
-        s[1, 0] = s[1, 1] = mp.mpc(1)
-        return s
+        return np.array([[mp.exp(lam - self.eta * (beta + self.alpha)),
+                          mp.exp(lam + self.eta * (beta - self.alpha))],
+                         [mp.mpc(1), mp.mpc(1)]], dtype=object)
+
+    def s_local_inv(self, lam, beta):
+        s = self.s_local(lam, beta)
+        return np.array([[1, -s[0, 1]], [-1, s[0, 0]]], dtype=object) / (s[0, 0] - s[0, 1])
 
     def kmat_minus(self, lam):
-        k = _zeros(2, 2)
         off = self.km * mp.sinh(2 * lam - self.eta)
-        k[0, 0] = mp.sinh(lam - self.eta / 2 + self.sm)
-        k[0, 1] = off * mp.exp(self.tm)
-        k[1, 0] = off * mp.exp(-self.tm)
-        k[1, 1] = mp.sinh(self.sm - lam + self.eta / 2)
+        k = np.array([[mp.sinh(lam - self.eta / 2 + self.sm), off * mp.exp(self.tm)],
+                      [off * mp.exp(-self.tm), mp.sinh(self.sm - lam + self.eta / 2)]],
+                     dtype=object)
         return k / mp.sinh(self.sm)
 
-    def _embed_aux_site(self, r4, n):
-        """Full (2 dim x 2 dim) operator of a two-space factor on (aux, site n)."""
-        N, dim = self.N, self.dim
-        full = _zeros(2 * dim, 2 * dim)
-        for a in range(2):
-            for b in range(2):
-                for s in range(dim):
-                    bits = [(s >> (N - 1 - j)) & 1 for j in range(N)]
-                    for snew in range(2):
-                        tb = list(bits)
-                        tb[n - 1] = snew
-                        t = _site_index(tb)
-                        full[a * dim + s, b * dim + t] += r4[2 * a + bits[n - 1], 2 * b + snew]
-        return full
-
-    def bulk_monodromy(self, lam):
-        out = mp.eye(2 * self.dim)
+    def bulk_monodromy(self, lam) -> AuxOp:
+        out = AuxOp.identity(self.dim) * mp.mpc(1)
         for n in range(self.N, 0, -1):
-            out = out * self._embed_aux_site(self.r6v(lam - self.xi[n - 1] - self.eta / 2), n)
+            out = apply_local(out, self.r6v(lam - self.xi[n - 1] - self.eta / 2), n)
         return out
 
-    def _aux_t0(self, m):
-        dim = self.dim
-        out = _zeros(2 * dim, 2 * dim)
-        for a in range(2):
-            for b in range(2):
-                for s in range(dim):
-                    for t in range(dim):
-                        out[b * dim + s, a * dim + t] = m[a * dim + s, b * dim + t]
-        return out
-
-    def _aux_scalar_left(self, k2, m):
-        dim = self.dim
-        out = _zeros(2 * dim, 2 * dim)
-        for a in range(2):
-            for b in range(2):
-                for c in range(2):
-                    if k2[a, c] == 0:
-                        continue
-                    for s in range(dim):
-                        for t in range(dim):
-                            out[a * dim + s, b * dim + t] += k2[a, c] * m[c * dim + s, b * dim + t]
-        return out
-
-    def _aux_scalar_right(self, m, k2):
-        dim = self.dim
-        out = _zeros(2 * dim, 2 * dim)
-        for a in range(2):
-            for b in range(2):
-                for c in range(2):
-                    if k2[c, b] == 0:
-                        continue
-                    for s in range(dim):
-                        for t in range(dim):
-                            out[a * dim + s, b * dim + t] += m[a * dim + s, c * dim + t] * k2[c, b]
-        return out
-
-    def u_minus(self, lam):
-        m = self.bulk_monodromy(lam)
-        sy = _zeros(2, 2)
-        sy[0, 1] = mp.mpc(0, -1)
-        sy[1, 0] = mp.mpc(0, 1)
-        mhat = self._aux_scalar_left(sy, self._aux_scalar_right(
-            self._aux_t0(self.bulk_monodromy(-lam)), sy)) * (-1) ** self.N
-        return self._aux_scalar_right(m, self.kmat_minus(lam)) * mhat
+    def u_minus(self, lam) -> AuxOp:
+        """M(lam) K_-(lam) Mhat(lam), Mhat = (-1)^N sigma0^y M^{t0}(-lam) sigma0^y."""
+        mhat = (-1) ** self.N * self.bulk_monodromy(-lam).t0().left_scalar(SY).right_scalar(SY)
+        return self.bulk_monodromy(lam).right_scalar(self.kmat_minus(lam)) @ mhat
 
     def u_tilde_block(self, name, lam, label):
+        """Block ``name`` of S_0^{-1}(-lam+eta/2 | label) U_-(lam) S_0(lam-eta/2 | label)."""
         eta = self.eta
-        u = self.u_minus(lam)
-        sl = self.s_local(-lam + eta / 2, label)
-        det = sl[0, 0] - sl[0, 1]
-        sli = _zeros(2, 2)
-        sli[0, 0] = 1 / det
-        sli[0, 1] = -sl[0, 1] / det
-        sli[1, 0] = -1 / det
-        sli[1, 1] = sl[0, 0] / det
-        sr = self.s_local(lam - eta / 2, label)
-        ut = self._aux_scalar_left(sli, self._aux_scalar_right(u, sr))
-        dim = self.dim
-        a = {"A": 0, "B": 0, "C": 1, "D": 1}[name]
-        b = {"A": 0, "B": 1, "C": 0, "D": 1}[name]
-        return ut[a * dim:(a + 1) * dim, b * dim:(b + 1) * dim]
+        ut = self.u_minus(lam).left_scalar(self.s_local_inv(-lam + eta / 2, label))
+        return getattr(ut.right_scalar(self.s_local(lam - eta / 2, label)), name)
 
     def s_chain(self, beta):
-        N, dim = self.N, self.dim
-        out = mp.eye(dim)
-        for n in range(N, 0, -1):
-            factor = _zeros(dim, dim)
-            for s in range(dim):
-                bits = [(s >> (N - 1 - j)) & 1 for j in range(N)]
-                k = sum(1 - 2 * bits[j] for j in range(n, N))
-                s2 = self.s_local(-self.xi[n - 1], beta + k)
-                for snew in range(2):
-                    tb = list(bits)
-                    tb[n - 1] = snew
-                    factor[s, _site_index(tb)] += s2[bits[n - 1], snew]
-            out = out * factor
+        """S_{1...N}({xi} | beta), each site's factor stacked over the labels
+        beta + sigma^z of the sites right of it."""
+        out = np.eye(self.dim, dtype=complex) * mp.mpc(1)
+        for n in range(self.N, 0, -1):
+            nb = self.N - n
+            stack = np.array([self.s_local(-self.xi[n - 1], beta + k)
+                              for k in range(-nb, nb + 1, 2)])
+            out = apply_local(out, stack[_sz_index(nb)], n)
         return out
 
 
@@ -258,11 +183,11 @@ def sp_direct_mp(q_spec, p_spec, params: ModelParams, gauge: GaugeParams) -> com
 
         # S(beta) D^SOS S(beta)^-1 and S(beta) A^SOS S(beta)^-1 are the tilde
         # blocks, so the states are built on S(beta)|0> and <0|S(beta)^-1
-        d_ops = [model.u_tilde_block("D", model.xi[j] + eta / 2, model.beta + 1)
+        d_ops = [_mat(model.u_tilde_block("D", model.xi[j] + eta / 2, model.beta + 1))
                  for j in range(N)]
-        a_ops = [model.u_tilde_block("A", eta / 2 - model.xi[j], model.beta - 1)
+        a_ops = [_mat(model.u_tilde_block("A", eta / 2 - model.xi[j], model.beta - 1))
                  for j in range(N)]
-        s_chain = model.s_chain(model.beta)
+        s_chain = _mat(model.s_chain(model.beta))
         s_inv = s_chain ** -1
 
         def k_fac(j):

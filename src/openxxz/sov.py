@@ -8,6 +8,7 @@ normalization functions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product as _iterprod
 
@@ -222,7 +223,6 @@ class SovBasis:
         self._raw = {"right": raw_states(params, gauge, "right", gauge.beta + 1),
                      "left": raw_states(params, gauge, "left", gauge.beta - 1)}
         self._scale_cache = {}
-        self._norm_cache = {}
         self._dressed_cache = {}
         self._chain_gauge = None
 
@@ -293,9 +293,7 @@ class SovBasis:
         return self._dressed_cache[key]
 
     def norm_const(self, eps: EpsChoice) -> complex:
-        if eps not in self._norm_cache:
-            self._norm_cache[eps] = sov_norm_const(self.params, self.gauge, eps)
-        return self._norm_cache[eps]
+        return sov_norm_const(self.params, self.gauge, eps)
 
     def norm_const_dense(self, eps: EpsChoice) -> complex:
         """Matrix-element route: V(xi^(0)) <0|...|0bar> with the h=0 left state."""
@@ -360,8 +358,9 @@ def sov_state(qtab, basis: SovBasis, side: str, eps: EpsChoice,
     return basis.ungauge(qprod @ basis.dressed_states(side, eps, bis), side)
 
 
+@functools.lru_cache
 def sov_norm_const(params: ModelParams, gauge: GaugeParams, eps: EpsChoice) -> complex:
-    """Closed product form of the Gram normalization constant."""
+    """Closed product form of the Gram normalization constant (cached)."""
     N, eta = params.N, params.eta
     beta = gauge.beta
     xs = list(params.xi)

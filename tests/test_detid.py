@@ -1,6 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
+from openxxz import detid
 from openxxz.trig import rng_for, varsigma
 from openxxz.detid import (
     VsRational,
@@ -271,8 +274,10 @@ def _point_set_loop(rng, n, eta, others=(), sep=0.08, max_phi=3e3, tries=500):
     raise RuntimeError("could not sample a generic point set")
 
 
-def test_generic_point_set_matches_loop():
-    # same draws in the same order: equal points and equal generator states
+def test_generic_point_set_matches_loop(monkeypatch):
+    # same draws in the same order: equal points and equal generator states;
+    # fewer tries than the default, so that some draws run out
+    monkeypatch.setattr(detid, "POINT_TRIES", 50)
     found = 0
     for seed in range(200):
         draw = rng_for(seed, "point-set-pin")
@@ -280,12 +285,12 @@ def test_generic_point_set_matches_loop():
         eta = complex(draw.uniform(0.5, 0.9), draw.uniform(-0.25, 0.25))
         others = rand_pts(draw, int(draw.integers(0, 4)))
         sep = 0.08 if seed % 4 else 0.15
-        max_phi = None if seed % 7 == 0 else 3e3
+        monkeypatch.setattr(detid, "POINT_SEP", sep)
         outcomes = []
-        for sampler in (generic_point_set, _point_set_loop):
+        for sampler in (generic_point_set, functools.partial(_point_set_loop, sep=sep, tries=50)):
             rng = rng_for(seed, "point-set")
             try:
-                pts = sampler(rng, n, eta, others, sep=sep, max_phi=max_phi, tries=50)
+                pts = sampler(rng, n, eta, others)
             except RuntimeError:
                 pts = None
             outcomes.append((pts, rng.uniform()))

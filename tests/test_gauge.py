@@ -7,6 +7,7 @@ from openxxz.lattice import (
     ID2,
     PERM4,
     AuxOp,
+    apply_local,
     bulk_monodromy,
     embed_aux_pair,
     kmat_generic,
@@ -113,12 +114,35 @@ def _per_label_sz_stack(mat_fn, nbits):
     return mats[(sz + nbits) // 2]
 
 
+def _per_site_m_sos(lam, params, beta):
+    """The earlier form of gauge.m_sos: one per-label stack per site."""
+    N, eta = params.N, params.eta
+    out = AuxOp.identity(2 ** N)
+    for n in range(N, 0, -1):
+        r = _per_label_sz_stack(
+            lambda k: r_sos(lam - params.xi[n - 1] - eta / 2, beta + k, eta), N - n)
+        out = apply_local(out, r[:, gauge_mod._SWAP][:, :, gauge_mod._SWAP], n)
+    return out
+
+
+def _per_site_mhat_sos(lam, params, beta):
+    """The earlier form of gauge.mhat_sos: one per-label stack per site."""
+    N, eta = params.N, params.eta
+    out = AuxOp.identity(2 ** N)
+    for n in range(1, N + 1):
+        out = apply_local(out, _per_label_sz_stack(
+            lambda k: r_sos(lam + params.xi[n - 1] - eta / 2, beta + k, eta), N - n), n)
+    return out
+
+
 def test_sos_blocks_match_per_label_stacks(setup5, monkeypatch):
     params, gauge = setup5
     lam = 0.53 + 0.11j
     labels = (gauge.beta - 1, gauge.beta + 1)
     got = [u_sos(lam, params, label, gauge).blocks for label in labels]
     monkeypatch.setattr(gauge_mod, "_sz_stack", _per_label_sz_stack)
+    monkeypatch.setattr(gauge_mod, "m_sos", _per_site_m_sos)
+    monkeypatch.setattr(gauge_mod, "mhat_sos", _per_site_mhat_sos)
     ref = [u_sos(lam, params, label, gauge).blocks for label in labels]
     for g, r in zip(got, ref):
         for a in range(2):
@@ -454,3 +478,28 @@ def test_sos_algebra_relations(setup3):
     for name, res in verify_sos_algebra(params, gauge, seed=5):
         bound = 1e-9 if name == "comm-AB" else 1e-10
         assert res < bound, f"{name}: {res}"
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_mp_mirror_operators_match_double(N):
+    # the 40-digit mirror's tilde blocks and chain gauge against the double
+    # code, at a generic point and at the points sp_direct_mp builds its
+    # states from
+    import mpmath as mp
+    from openxxz import mpref
+
+    params = random_params(N, seed=3)
+    gauge = solve_gauge(params.boundary_plus, 1, 1, params.eta)
+    eta, beta, xi1 = params.eta, gauge.beta, params.xi[0]
+
+    def close(got, ref):
+        got = np.asarray(got, dtype=complex)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    with mp.workdps(mpref.DPS):
+        model = mpref._MpModel(params, gauge)
+        for name, label, lam in (("A", beta - 1, 0.53 + 0.11j), ("D", beta + 1, 0.53 + 0.11j),
+                                 ("A", beta - 1, eta / 2 - xi1), ("D", beta + 1, xi1 + eta / 2)):
+            got = model.u_tilde_block(name, mp.mpc(lam), mp.mpc(label))
+            close(got, getattr(u_tilde(lam, params, label, gauge.alpha), name))
+        close(model.s_chain(model.beta), s_chain(params, beta, gauge.alpha))

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -319,6 +320,55 @@ def test_apply_local_matches_einsum_bitwise():
                     if isinstance(op, AuxOp):
                         got, ref = got.full(), ref.full()
                     assert np.array_equal(got, ref), (N, n, k, factor.ndim)
+
+
+def _to_mpc(arr):
+    """Object array of mpmath complex numbers with the values of arr."""
+    return np.array([mp.mpc(z) for z in np.ravel(arr)], dtype=object).reshape(np.shape(arr))
+
+
+def test_kernels_keep_wide_dtypes():
+    # object arrays of mpc and clongdouble stay in their dtype through
+    # apply_local and the AuxOp methods, and agree with the complex kernels
+    rng = rng_for(32, "wide-kernels")
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def close(got, ref, dtype):
+        assert got.dtype == dtype
+        got = np.asarray(got, dtype=complex)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    # complex input is kept as it is, real input is promoted
+    blocks = cplx(2, 2, 3, 3)
+    assert AuxOp(blocks).blocks is blocks
+    assert AuxOp(blocks.real).blocks.dtype == complex
+    m2 = cplx(2, 2)
+    with mp.workdps(30):
+        for widen, dtype in ((_to_mpc, object), (lambda a: a.astype(np.clongdouble),
+                                                 np.clongdouble)):
+            for N in range(1, 5):
+                dim = 2 ** N
+                for n in range(1, N + 1):
+                    for op, k in ((cplx(dim, dim), 2), (AuxOp(cplx(2, 2, dim, dim)), 4)):
+                        aux = isinstance(op, AuxOp)
+                        wide = AuxOp(widen(op.blocks)) if aux else widen(op)
+                        if aux:
+                            assert wide.blocks.dtype == dtype
+                        for factor in (cplx(k, k), cplx(2 ** (N - n), k, k)):
+                            got = apply_local(wide, widen(factor), n)
+                            ref = apply_local(op, factor, n)
+                            if aux:
+                                got, ref = got.blocks, ref.blocks
+                            close(got, ref, dtype)
+                aux_op = AuxOp(cplx(2, 2, dim, dim))
+                wide = AuxOp(widen(aux_op.blocks))
+                for got, ref in ((wide.left_scalar(m2), aux_op.left_scalar(m2)),
+                                 (wide.right_scalar(m2), aux_op.right_scalar(m2)),
+                                 (wide.t0() @ wide, aux_op.t0() @ aux_op),
+                                 (wide * -1, aux_op * -1)):
+                    close(got.blocks, ref.blocks, dtype)
 
 
 @pytest.mark.parametrize("N, seed", [(3, 1), (5, 35)])
