@@ -8,6 +8,7 @@ or inhomogeneous T-Q equation on a collocation grid.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -156,14 +157,24 @@ def verify_tau(taus, params: ModelParams, eps: EpsChoice):
     return out
 
 
+@functools.lru_cache
+def _q_grid(params: ModelParams, eps: EpsChoice):
+    """The shifted grid rows x^0, x^1 with A(x^0) and A(-x^1), read-only,
+    shared by ``q_discrete`` over every eigenvalue of one chain and branch."""
+    x0, x1 = params.xi_grid().T
+    out = (x0, x1, big_a_eps(x0, eps, params), big_a_eps(-x1, eps, params))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def q_discrete(tau: TauPoly, params: ModelParams, eps: EpsChoice):
     """Values of Q on the shifted-inhomogeneity grid, normalized per site."""
-    x0, x1 = params.xi_grid().T
-    a0 = big_a_eps(x0, eps, params)
+    x0, x1, a0, a1 = _q_grid(params, eps)
     if np.any(np.abs(a0) < 1e-13):
         raise ValueError("vanishing normalization function on the grid")
     ratio = tau(x0) / a0
-    alt = big_a_eps(-x1, eps, params) / tau(x1)
+    alt = a1 / tau(x1)
     if np.any(np.abs(ratio - alt) > 1e-9 * np.maximum(np.abs(alt), 1.0)):
         raise ValueError("inconsistent discrete Q ratio; non-generic parameters")
     out = {}
@@ -276,32 +287,47 @@ def _collocation_points(count: int):
     return np.concatenate([arc1, arc2])
 
 
+@functools.lru_cache
+def _tq_grid(params: ModelParams, eps: EpsChoice, inhomogeneous: bool, degree: int):
+    """The tau-independent terms of the collocation system, read-only.
+
+    Built once per (chain, branch, mode, degree) and shared by the solves of
+    every eigenvalue: the grid pts, A(pts), A(-pts), the inhomogeneous term
+    (zero in homogeneous mode), and in the monomials varsigma^k, k = 0..degree,
+    V(pts), A(pts) V(pts - eta) and A(-pts) V(pts + eta).
+    """
+    pts = _collocation_points(max(4 * params.N, degree + 3))
+    eta = params.eta
+    a_p = big_a_eps(pts, eps, params)
+    a_m = big_a_eps(-pts, eps, params)
+    f = big_f_eps(pts, eps, params) if inhomogeneous else np.zeros(len(pts), complex)
+
+    def vander(lams):
+        return np.vander(varsigma(lams), degree + 1, increasing=True)
+
+    out = (pts, a_p, a_m, f, vander(pts), a_p[:, None] * vander(pts - eta),
+           a_m[:, None] * vander(pts + eta))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def solve_tq(tau: TauPoly, params: ModelParams, eps: EpsChoice,
              mode: str = "homogeneous", degree: int | None = None) -> QSolution:
     """Least-squares solve for the monic Q of the T-Q functional equation."""
-    N = params.N
     inhom = mode == "inhomogeneous"
     if mode not in ("homogeneous", "inhomogeneous"):
         raise ValueError(f"unknown mode {mode!r}")
-    deg = N if degree is None else degree
+    deg = params.N if degree is None else degree
     if not inhom and abs(f_frak(deg, eps, params)) > 1e-8:
         raise ValueError("homogeneous mode requires the degree-q scalar to vanish")
 
-    pts = _collocation_points(max(4 * N, deg + 3))
+    pts, a_p, a_m, f, v0, vm, vp = _tq_grid(params, eps, inhom, deg)
     eta = params.eta
 
-    # every term on the whole grid at once; row i is the equation at pts[i]
-    # in the monomials varsigma^k, k = 0..deg
+    # row i is the equation at pts[i] in the monomials varsigma^k, k = 0..deg
     t = tau(pts)
-    a_p = big_a_eps(pts, eps, params)
-    a_m = big_a_eps(-pts, eps, params)
-    f = big_f_eps(pts, eps, params) if inhom else np.zeros_like(t)
-
-    def vander(lams):
-        return np.vander(varsigma(lams), deg + 1, increasing=True)
-
-    rows = t[:, None] * vander(pts) - a_p[:, None] * vander(pts - eta) \
-        - a_m[:, None] * vander(pts + eta)
+    rows = t[:, None] * v0 - vm - vp
     target = f - rows[:, deg]
     # each collocation equation is weighted to unit scale: the wide arc
     # spans many orders of magnitude across rows
@@ -335,10 +361,3 @@ def solve_tq(tau: TauPoly, params: ModelParams, eps: EpsChoice,
     res = np.max(np.abs(val) / np.max(np.abs(terms), axis=0))
     return QSolution(q=q, inhomogeneous=inhom, eps=eps, residual=float(res),
                      singular_ratio=singular_ratio)
-
-
-def tq_ratio(lam, q: TrigPoly, eps: EpsChoice, params: ModelParams) -> complex:
-    """Eigenvalue reconstruction from Q through the T-Q ratio."""
-    eta = params.eta
-    return complex((big_a_eps(lam, eps, params) * q(lam - eta)
-                    + big_a_eps(-lam, eps, params) * q(lam + eta)) / q(lam))

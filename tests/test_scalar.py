@@ -9,7 +9,6 @@ from openxxz.spectrum import (
     constrain_boundary,
     eigen_residual,
     solve_tq,
-    tq_ratio,
 )
 from openxxz.detid import VsRational, fbar_j, onshell_solve
 from openxxz.suites import _gauge
@@ -31,6 +30,7 @@ from openxxz.scalar import (
     sp_thm52,
     sov_matrix,
 )
+from tq_helpers import tq_ratio
 
 E0 = EpsChoice(1, 1, 1, 1)
 E1 = EpsChoice(1, -1, -1, 1)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from openxxz.spectrum import (
     QSolution,
     TauPoly,
     _collocation_points,
+    _q_grid,
+    _tq_grid,
     big_f_eps,
     brute_spectrum,
     constrain_boundary,
@@ -17,9 +21,9 @@ from openxxz.spectrum import (
     solve_tq,
     sov_eigenvector,
     tau_leading_coeff,
-    tq_ratio,
     verify_tau,
 )
+from tq_helpers import tq_ratio
 
 EPS0 = EpsChoice(1, 1, 1, 1)
 
@@ -105,7 +109,6 @@ def test_verify_tau_whole_spectrum(setup3, monkeypatch):
 
 
 def test_verify_tau_detects_perturbation(setup3):
-    from dataclasses import replace
     params, _, taus = setup3
     coeffs = list(taus[0].coeffs)
     coeffs[1] *= 1 + 1e-3
@@ -336,3 +339,102 @@ def test_solve_tq_matches_per_point_loop(N, monkeypatch):
             # bits, the smallest singular value moves by ~1e-16 absolute
             assert abs(sol.singular_ratio - sv[-1] / sv[0]) <= 1e-12 * sv[-1] / sv[0]
             assert abs(sol.singular_ratio - ratio) <= 1e-14
+
+
+def _solve_tq_inline(tau, params, eps, mode):
+    """The collocation solve with every tau-independent term built in the call:
+    the bitwise reference for the solve that reads them from ``_tq_grid``."""
+    deg, eta = params.N, params.eta
+    inhom = mode == "inhomogeneous"
+    pts = _collocation_points(max(4 * deg, deg + 3))
+    t = tau(pts)
+    a_p = big_a_eps(pts, eps, params)
+    a_m = big_a_eps(-pts, eps, params)
+    f = big_f_eps(pts, eps, params) if inhom else np.zeros_like(t)
+
+    def vander(lams):
+        return np.vander(varsigma(lams), deg + 1, increasing=True)
+
+    rows = t[:, None] * vander(pts) - a_p[:, None] * vander(pts - eta) \
+        - a_m[:, None] * vander(pts + eta)
+    target = f - rows[:, deg]
+    w = np.maximum(np.maximum(np.max(np.abs(rows), axis=1), np.abs(target)), 1e-300)
+    a_mat = rows[:, :deg] / w[:, None]
+    b_vec = target / w
+    col_scale = np.linalg.norm(a_mat, axis=0)
+    col_scale[col_scale == 0] = 1.0
+    sol, _, _, sv = np.linalg.lstsq(a_mat / col_scale, b_vec, rcond=None)
+    coeffs = np.append(sol / col_scale, 1.0)
+    singular_ratio = float(sv[-1] / sv[0]) if len(sv) else 1.0
+    roots_vs = np.polynomial.polynomial.polyroots(coeffs)
+    dcoef = np.polynomial.polynomial.polyder(coeffs)
+    for i, r in enumerate(roots_vs):
+        dp = np.polynomial.polynomial.polyval(r, dcoef)
+        if abs(dp) > 1e-13:
+            roots_vs[i] = r - np.polynomial.polynomial.polyval(r, coeffs) / dp
+    q = TrigPoly(roots=tuple(canonical_root(r) for r in roots_vs))
+    terms = np.array([t * q(pts), a_p * q(pts - eta), a_m * q(pts + eta), f])
+    val = terms[0] - terms[1] - terms[2] - terms[3]
+    res = np.max(np.abs(val) / np.max(np.abs(terms), axis=0))
+    return np.array(q.roots), float(res), singular_ratio
+
+
+@pytest.mark.parametrize("N", range(1, 8))
+def test_solve_tq_matches_inline_collocation(N):
+    _tq_grid.cache_clear()
+    params = random_params(N, seed=1)
+    cpar = constrain_boundary(N, EPS0, params)
+    taus, ctaus = brute_spectrum(params), brute_spectrum(cpar)
+    cases = [(cpar, ctaus, EPS0, "homogeneous"), (params, taus, EPS0, "inhomogeneous"),
+             (params, taus, EPS0.flipped(), "inhomogeneous")]
+    for _ in range(2):  # first calls build the tables, repeat calls read them
+        for p, spectrum_p, eps, mode in cases:
+            for tau in spectrum_p:
+                sol = solve_tq(tau, p, eps, mode)
+                roots, res, ratio = _solve_tq_inline(tau, p, eps, mode)
+                assert np.array_equal(np.array(sol.q.roots), roots)
+                assert sol.residual == res and sol.singular_ratio == ratio
+    assert _tq_grid.cache_info().misses == len(cases)
+
+
+def test_tq_grid_built_once_per_model_branch_mode_and_degree(setup3):
+    params, _, _ = setup3
+    cpar = constrain_boundary(params.N, EPS0, params)
+    taus = brute_spectrum(cpar)
+    _tq_grid.cache_clear()
+
+    def misses_after(eps, mode, degree=None):
+        for tau in taus:
+            solve_tq(tau, cpar, eps, mode, degree)
+        return _tq_grid.cache_info().misses
+
+    assert misses_after(EPS0, "inhomogeneous") == 1
+    assert misses_after(EPS0, "inhomogeneous", params.N) == 1
+    assert misses_after(EPS0, "homogeneous") == 2
+    assert misses_after(EPS0.flipped(), "inhomogeneous") == 3
+    assert misses_after(EPS0, "inhomogeneous", params.N - 1) == 4
+    assert _tq_grid.cache_info().hits == 5 * len(taus) - 4
+
+
+def test_q_discrete_reads_one_grid_per_branch(setup3):
+    params, _, taus = setup3
+    _q_grid.cache_clear()
+    x0, x1 = params.xi_grid().T
+    for eps in (EPS0, EPS0.flipped()):
+        for tau in taus:
+            qd = q_discrete(tau, params, eps)
+            ratio = tau(x0) / big_a_eps(x0, eps, params)
+            assert [qd[(n, 1)] for n in range(1, params.N + 1)] == list(ratio)
+    assert _q_grid.cache_info().misses == 2
+    # the consistency check still runs on every call
+    bad = replace(taus[0], coeffs=tuple(np.array(taus[0].coeffs) * (1 + 1e-6)))
+    with pytest.raises(ValueError, match="inconsistent"):
+        q_discrete(bad, params, EPS0)
+
+
+def test_cached_grids_are_read_only(setup3):
+    params, _, _ = setup3
+    tables = _tq_grid(params, EPS0, True, params.N) + _q_grid(params, EPS0)
+    for arr in tables:
+        with pytest.raises(ValueError):
+            arr[0] = 0
