@@ -49,8 +49,8 @@ class GaugeParams:
 def s_local(lam, beta, alpha, eta) -> np.ndarray:
     """Local Vertex-IRF matrix S(lam | beta) with spectral shift alpha.
 
-    For an array of beta the result stacks one 2x2 matrix per label."""
-    out = np.ones(np.shape(beta) + (2, 2), dtype=complex)
+    For arrays of lam and beta it stacks one 2x2 matrix per broadcast pair."""
+    out = np.ones(np.broadcast_shapes(np.shape(lam), np.shape(beta)) + (2, 2), dtype=complex)
     out[..., 0, 0] = np.exp(lam - eta * (beta + alpha))
     out[..., 0, 1] = np.exp(lam + eta * (beta - alpha))
     return out
@@ -139,12 +139,13 @@ def s_aux_dyn(lam, beta, alpha, params: ModelParams) -> AuxOp:
 
 
 def _site_stacks(lam, params: ModelParams, beta) -> list:
-    """The ``_sz_stack`` of r_sos(lam[n - 1], beta + k) for each site n, read
-    from one r_sos call on the grid of sites and shifts k = -(N-1)..N-1."""
+    """The ``_sz_stack`` of r_sos(lam[..., n - 1], beta + k) for each site n,
+    read from one r_sos call on the grid of (points,) sites and shifts
+    k = -(N-1)..N-1; lam holds one value per site in its last axis."""
     N = params.N
     # labels as a row keep the numpy loops, and so the bits, of per-site stacks
-    grid = r_sos(np.asarray(lam)[:, None], beta + np.arange(1 - N, N)[None, :], params.eta)
-    return [grid[n - 1, n - 1 + 2 * _sz_index(N - n)] for n in range(1, N + 1)]
+    grid = r_sos(np.asarray(lam)[..., None], beta + np.arange(1 - N, N)[None, :], params.eta)
+    return [grid[..., n - 1, n - 1 + 2 * _sz_index(N - n), :, :] for n in range(1, N + 1)]
 
 
 def m_sos(lam, params: ModelParams, beta) -> AuxOp:
@@ -182,37 +183,74 @@ def u_tilde(lam, params: ModelParams, beta, alpha) -> AuxOp:
     return u.left_scalar(left).right_scalar(right)
 
 
+def sos_factors(lam, label, params: ModelParams, gauge: GaugeParams, side: str) -> list:
+    """Local factors of the SOS boundary monodromy at each point of lam.
+
+    U^SOS(lam | label) = M^SOS K^SOS_-(lam | label + S^z) Mhat^SOS, with
+    M^SOS = F_N ... F_1 and Mhat^SOS = G_1 ... G_N.  One entry (side, pre,
+    k, post) per point of the 1-D array lam, for ``sos_apply``: pre and post
+    hold one stack per site, k the K^SOS_- stack over the sigma^z
+    configurations of the chain.  Bras ("left") take (F_n, K, G_n), kets
+    ("right") their transposes (G_n^T, K^T, F_n^T); both run pre at sites
+    N..1, k, then post at sites 1..N.  One r_sos call per monodromy and one
+    K^SOS_- stack serve all points."""
+    N, eta = params.N, params.eta
+    lam, xi = np.asarray(lam), np.asarray(params.xi)
+    # swapping the two legs moves the site leg of R_{n0} second, as
+    # apply_local expects
+    m = [s[..., _SWAP, :][..., _SWAP]
+         for s in _site_stacks(lam[:, None] - xi - eta / 2, params, label)]
+    mhat = _site_stacks(lam[:, None] + xi - eta / 2, params, label)
+    k = _sz_stack(lambda c: k_sos_minus(lam, label + c[:, None], params, gauge.alpha), N)
+    if side == "left":
+        pre, post = m, mhat
+    else:
+        pre, post = [s.swapaxes(-1, -2) for s in mhat], [s.swapaxes(-1, -2) for s in m]
+        k = k.swapaxes(-1, -2)
+    return [(side, [s[p] for s in pre], k[:, p], [s[p] for s in post]) for p in range(len(lam))]
+
+
+def sos_apply(vecs, factors, name=None) -> np.ndarray:
+    """The SOS boundary monodromy applied to a stack of rows, factor by factor.
+
+    ``factors`` is one entry of ``sos_factors``.  Rows of aux (x) H (shape
+    (rows, 2 * 2^N)) come back as vecs @ U^SOS on the left side and as
+    (U^SOS @ vecs^T)^T on the right side.  With a block name, vecs is a
+    (rows, 2^N) stack and only that block X acts: vecs @ X on the left,
+    (X @ vecs^T)^T on the right.  No 2^N x 2^N matrix is formed.
+    """
+    side, pre, k, post = factors
+    if name is not None:
+        a, b = divmod("ABCD".index(name), 2)
+        a, b = (a, b) if side == "left" else (b, a)
+        rows, dim = vecs.shape
+        full = np.zeros((rows, 2 * dim), dtype=np.result_type(vecs, complex))
+        full[:, a * dim:(a + 1) * dim] = vecs
+        return sos_apply(full, factors)[:, b * dim:(b + 1) * dim]
+    for n in range(len(pre), 0, -1):
+        vecs = apply_local(vecs, pre[n - 1], n)
+    vecs = np.einsum("rci,icd->rdi", vecs.reshape(len(vecs), 2, -1), k).reshape(len(vecs), -1)
+    for n in range(1, len(post) + 1):
+        vecs = apply_local(vecs, post[n - 1], n)
+    return vecs
+
+
 def sos_block(name: str, lam, label, params: ModelParams, gauge: GaugeParams) -> np.ndarray:
     """Entry (a, b) of the SOS boundary monodromy at dynamical label ``label``.
 
-    Read from the boundary-bulk product M^SOS K^SOS_-(lam | label + S^z)
-    Mhat^SOS as sum_{c,d} M^SOS_{ac} diag(K^SOS_{cd}) Mhat^SOS_{db}: local
-    dynamical factors only, so the entries that vanish by S^z conservation
-    stay exact zeros.  Equal to the paper's S^{-1}(label +- 1) Utilde
-    S(label +- 1), which the tests keep as the reference.
+    Read from ``sos_apply`` on the identity rows: local dynamical factors
+    only, so the entries that vanish by S^z conservation stay exact zeros.
+    Equal to the paper's S^{-1}(label +- 1) Utilde S(label +- 1), which the
+    tests keep as the reference.
     """
-    return _sos_blocks((name,), lam, label, params, gauge)[0]
+    factors = sos_factors([lam], label, params, gauge, "left")[0]
+    return sos_apply(np.eye(2 ** params.N, dtype=complex), factors, name)
 
 
 def u_sos(lam, params: ModelParams, beta, gauge: GaugeParams) -> AuxOp:
     """Full SOS boundary monodromy at dynamical label beta."""
-    a, b, c, d = _sos_blocks("ABCD", lam, beta, params, gauge)
-    return AuxOp([[a, b], [c, d]])
-
-
-def _sos_blocks(names, lam, label, params: ModelParams, gauge: GaugeParams) -> list:
-    """The named blocks of the boundary-bulk product, from one build of its
-    factors M^SOS, Mhat^SOS and the K^SOS_- stack (see ``sos_block``)."""
-    k_sos = _sz_stack(lambda k: k_sos_minus(lam, label + k, params, gauge.alpha), params.N)
-    m = m_sos(lam, params, label).blocks
-    mhat = mhat_sos(lam, params, label).blocks
-    out = []
-    for name in names:
-        a, b = {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)}[name]
-        # sum_d diag(K_cd) Mhat_db, then one matmul over (c, columns of M_ac)
-        right = np.einsum("icd,dij->cij", k_sos, mhat[:, b])
-        out.append(np.concatenate(m[a], axis=1) @ np.concatenate(right, axis=0))
-    return out
+    factors = sos_factors([lam], beta, params, gauge, "left")[0]
+    return AuxOp.from_full(sos_apply(np.eye(2 ** (params.N + 1), dtype=complex), factors))
 
 
 def k_sos_minus(lam, beta, params: ModelParams, alpha) -> np.ndarray:
@@ -232,35 +270,12 @@ def bcoef_minus(beta, gauge: GaugeParams, params: ModelParams) -> complex:
                            - np.exp(b.sigma)))
 
 
-def bcoef_minus_alt(beta, gauge: GaugeParams, params: ModelParams) -> complex:
-    """Same coefficient through the (alpha_-, beta_-) parametrization."""
-    b = params.boundary_minus
-    eta = params.eta
-    pref = b.kappa * np.exp(eta * beta) / (np.sinh(eta * beta) * np.sinh(b.sigma))
-    return complex(pref * (np.sinh(eta * (beta - gauge.alpha) - b.tau)
-                           - np.sinh(b.alpha + b.beta)))
-
-
 def k_plus_hat(lam, params: ModelParams, gauge: GaugeParams) -> np.ndarray:
     """Modified gauged K_+ whose off-diagonal entries vanish at the solved gauge."""
     eta = params.eta
     left = s_local_inv(lam - eta / 2, gauge.beta, gauge.alpha - 1, eta)
     right = s_local(eta / 2 - lam, gauge.beta, gauge.alpha + 1, eta)
     return left @ kmat_plus(lam, params) @ right
-
-
-def ad_plus_raw(lam, beta, alpha, params: ModelParams):
-    """Diagonal entries of the gauged K_+ in their raw beta-dependent form."""
-    bp = params.boundary_plus
-    eta = params.eta
-
-    def a_of(beta):
-        pref = np.exp(-lam - eta / 2) / (2 * np.sinh(eta * beta) * np.sinh(bp.sigma))
-        return pref * (np.exp(bp.sigma) * np.sinh(eta * beta)
-                       - np.exp(-bp.sigma) * np.sinh(2 * lam + eta + eta * beta)
-                       - 2 * bp.kappa * np.sinh(eta * alpha + bp.tau) * np.sinh(2 * lam + eta))
-
-    return complex(a_of(beta)), complex(a_of(-beta))
 
 
 def ad_plus(lam, boundary_plus: BoundaryParams, eps_plus: int, eta):
@@ -350,28 +365,6 @@ def t_sos(lam, params: ModelParams, gauge: GaugeParams) -> np.ndarray:
     d_sos = sos_block("D", lam, beta + 1, params, gauge)
     return np.exp(eta) / np.sinh(eta * beta) * (
         ap * np.sinh(eta * (beta - 1)) * a_sos + dp * np.sinh(eta * (beta + 1)) * d_sos)
-
-
-def atilde_from_entries(lam, params: ModelParams, beta, alpha) -> np.ndarray:
-    """Linear-combination form of the gauged entry Atilde."""
-    eta = params.eta
-    u = u_minus(lam, params)
-    return (1 / (2 * np.sinh(eta * beta))) * (
-        -np.exp(2 * lam - eta - eta * beta) * u.A
-        - np.exp(lam - eta / 2 + eta * alpha) * u.B
-        + np.exp(lam - eta / 2 - eta * alpha) * u.C
-        + np.exp(eta * beta) * u.D)
-
-
-def btilde_from_entries(lam, params: ModelParams, beta, alpha) -> np.ndarray:
-    """Linear-combination form of the gauged entry Btilde."""
-    eta = params.eta
-    u = u_minus(lam, params)
-    return (1 / (2 * np.sinh(eta * beta))) * (
-        -np.exp(2 * lam - eta + eta * beta) * u.A
-        - np.exp(lam - eta / 2 + eta * alpha) * u.B
-        + np.exp(lam - eta / 2 + eta * (2 * beta - alpha)) * u.C
-        + np.exp(eta * beta) * u.D)
 
 
 # ---------------------------------------------------------------------------

@@ -103,8 +103,9 @@ class AuxOp:
 def apply_local(op, factor, n: int):
     """op @ F for a factor F local to site n (1-based), without embedding F.
 
-    For a plain operator F is 2x2 on site n; for an :class:`AuxOp` it is 4x4
-    on aux (x) site n, aux as the first tensor leg.  ``factor`` may instead be
+    F is 2x2 on site n, or 4x4 on aux (x) site n with aux as the first tensor
+    leg: an :class:`AuxOp`, or a stack of rows on aux (x) H (shape
+    (rows, 2 * 2^N)), takes a 4x4 factor.  ``factor`` may instead be
     a stack with one such matrix per sigma^z configuration of the sites right
     of n (shape (2^(N-n), k, k), configurations in basis order), each applied
     on its own configuration: the dynamical SOS case.  The column index splits
@@ -117,7 +118,7 @@ def apply_local(op, factor, n: int):
     aux = isinstance(op, AuxOp)
     mat = op.full() if aux else op
     rows, cols = mat.shape
-    a = 2 if aux else 1
+    a = factor.shape[-1] // 2
     left = 2 ** (n - 1)
     right = cols // (2 * a * left)
     m = mat.reshape(rows, a, left, 2, right).transpose(4, 1, 3, 0, 2)
@@ -137,13 +138,14 @@ def r6v(lam, eta) -> np.ndarray:
 
 
 def kmat_generic(lam, sigma, kappa, tau, eta) -> np.ndarray:
-    """General scalar reflection matrix K(lam; sigma, kappa, tau)."""
+    """General scalar reflection matrix K(lam; sigma, kappa, tau), stacked over lam."""
     if abs(np.sinh(sigma)) < 1e-14:
         raise ValueError("sinh(sigma) = 0: singular boundary normalization")
     off = kappa * np.sinh(2 * lam - eta)
-    return np.array([[np.sinh(lam - eta / 2 + sigma), off * np.exp(tau)],
-                     [off * np.exp(-tau), np.sinh(sigma - lam + eta / 2)]],
-                    dtype=complex) / np.sinh(sigma)
+    out = np.array([[np.sinh(lam - eta / 2 + sigma), off * np.exp(tau)],
+                    [off * np.exp(-tau), np.sinh(sigma - lam + eta / 2)]],
+                   dtype=complex) / np.sinh(sigma)
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def kmat_minus(lam, params: ModelParams) -> np.ndarray:

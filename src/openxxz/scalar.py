@@ -402,7 +402,7 @@ def bethe_form_state(q_spec: SeparateStateSpec, basis: SovBasis) -> np.ndarray:
     reduced coefficient b_-(beta - N - 1) vanishes and the dressed B operators
     degenerate to 0/0; the construction is only defined away from those zeros.
     """
-    from .gauge import sos_block
+    from .gauge import sos_apply, sos_factors
 
     params, gauge = basis.params, basis.gauge
     N, eta = params.N, params.eta
@@ -425,19 +425,19 @@ def bethe_form_state(q_spec: SeparateStateSpec, basis: SovBasis) -> np.ndarray:
         for i in range(m - 1, -1, -1):
             lam = roots[i]
             lbl = beta + 1 - 2 * (i + 1)
-            b_op = sos_block("B", lam, lbl, params, gauge)
+            b_op = sos_factors([lam], lbl, params, gauge, side)[0]
             blam = np.exp(lam - eta / 2) * np.sinh(2 * lam - eta) \
                 * bcoef_minus(lbl - N, gauge, params)
             coef = (-1) ** N / blam * np.sinh(eta * lbl) / np.sinh(eta * (lbl - N))
-            vec = coef * (b_op @ vec)
+            vec = coef * sos_apply(vec[None], b_op, "B")[0]
         return basis.ungauge(vec, side)
 
     for i in range(m - 1, -1, -1):
         lam = roots[i]
         lbl = beta - 1 + 2 * (i + 1)
-        b_op = sos_block("B", lam, lbl, params, gauge)
+        b_op = sos_factors([lam], lbl, params, gauge, side)[0]
         blam = np.exp(lam - eta / 2) * np.sinh(2 * lam - eta) \
             * bcoef_minus(lbl + N, gauge, params)
         coef = (-1) ** N / blam * np.sinh(eta * (lbl + N - 1)) / np.sinh(eta * (lbl - 1))
-        vec = coef * (vec @ b_op)
+        vec = coef * sos_apply(vec[None], b_op, "B")[0]
     return basis.ungauge(vec, side)

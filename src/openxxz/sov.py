@@ -16,7 +16,7 @@ import numpy as np
 
 from .trig import ModelParams, bulk_ad, vdm_hat
 from .lattice import qdet_m
-from .gauge import GaugeParams, bcoef_minus, s_chain, sos_block
+from .gauge import GaugeParams, bcoef_minus, s_chain, sos_apply, sos_factors
 
 
 @dataclass(frozen=True)
@@ -187,21 +187,22 @@ def raw_states(params: ModelParams, gauge: GaugeParams, side: str, label) -> np.
 
     Right: prod_{h_j = 1} D^SOS(xi_j + eta/2 | label) on the all-down state.
     Left: the all-up row times prod_{h_j = 0} A^SOS(eta/2 - xi_j | label).
-    Both products run in site order; the rows double once per site.
+    Both products run in site order, applied to the rows by ``sos_apply``;
+    the rows double once per site.
     """
-    N, eta = params.N, params.eta
+    N, eta, xi = params.N, params.eta, np.asarray(params.xi)
     dim = 2 ** N
     states = np.zeros((1, dim), dtype=complex)
     if side == "right":
         states[0, -1] = 1.0
+        ops = sos_factors(xi + eta / 2, label, params, gauge, side)
         for j in range(N - 1, -1, -1):
-            op = sos_block("D", params.xi[j] + eta / 2, label, params, gauge)
-            states = np.concatenate([states, states @ op.T])
+            states = np.concatenate([states, sos_apply(states, ops[j], "D")])
         return states
     states[0, 0] = 1.0
+    ops = sos_factors(eta / 2 - xi, label, params, gauge, side)
     for j in range(N):
-        op = sos_block("A", eta / 2 - params.xi[j], label, params, gauge)
-        states = np.stack([states @ op, states], axis=1).reshape(-1, dim)
+        states = np.stack([sos_apply(states, ops[j], "A"), states], axis=1).reshape(-1, dim)
     return states
 
 
@@ -495,24 +496,27 @@ def verify_sov_actions(basis: SovBasis, eps: EpsChoice, seed: int = 0):
     a_pair = np.prod(np.sinh(lam - shifted) * np.sinh(-lam - shifted), axis=1)
     blam = np.exp(lam - eta / 2) * np.sinh(2 * lam - eta)
 
+    def act(rows, name, label, side):
+        return sos_apply(rows, sos_factors([lam], label, params, gauge, side)[0], name)
+
     # right states at label beta-1 for the act-BR check
     rights_m = raw_states(params, gauge, "right", beta - 1) * scales["right"][:, None]
-    lhs = rights_m @ sos_block("B", lam, beta - 1, params, gauge).T
+    lhs = act(rights_m, "B", beta - 1, "right")
     coef = (-1) ** N * a_pair * blam * bcoef_minus(beta - N - 1, gauge, params) \
         * np.sinh(eta * (beta - N - 1)) / np.sinh(eta * (beta - 1))
     out.append(("act-BR", _max_row_residual(lhs, coef[:, None] * basis.right_states(eps))))
 
     # left states at label beta+1 for the act-BL check
     lefts_p = raw_states(params, gauge, "left", beta + 1) * scales["left"][:, None]
-    lhs = lefts_p @ sos_block("B", lam, beta + 1, params, gauge)
+    lhs = act(lefts_p, "B", beta + 1, "left")
     coef = (-1) ** N * a_pair * blam * bcoef_minus(beta + N + 1, gauge, params) \
         * np.sinh(eta * beta) / np.sinh(eta * (beta + N))
     out.append(("act-BL", _max_row_residual(lhs, coef[:, None] * basis.left_states(eps))))
 
-    # interpolated A (left) and D (right) actions against dense application
-    lhs = basis.left_states(eps) @ sos_block("A", lam, beta - 1, params, gauge)
+    # interpolated A (left) and D (right) actions against the operators
+    lhs = act(basis.left_states(eps), "A", beta - 1, "left")
     out.append(("act-AL", _max_row_residual(lhs, act_interpolated(lam, basis, eps, "left"))))
-    lhs = basis.right_states(eps) @ sos_block("D", lam, beta + 1, params, gauge).T
+    lhs = act(basis.right_states(eps), "D", beta + 1, "right")
     out.append(("act-DR", _max_row_residual(lhs, act_interpolated(lam, basis, eps, "right"))))
 
     return out

@@ -1,0 +1,95 @@
+"""Helpers shared by the test modules: closed forms with no caller in the
+package, and the dense references that the SOS kernel replaced."""
+
+import numpy as np
+
+from openxxz.gauge import (
+    GaugeParams,
+    _sz_stack,
+    k_sos_minus,
+    m_sos,
+    mhat_sos,
+)
+from openxxz.lattice import u_minus
+from openxxz.trig import ModelParams
+
+
+def bcoef_minus_alt(beta, gauge: GaugeParams, params: ModelParams) -> complex:
+    """Same coefficient through the (alpha_-, beta_-) parametrization."""
+    b = params.boundary_minus
+    eta = params.eta
+    pref = b.kappa * np.exp(eta * beta) / (np.sinh(eta * beta) * np.sinh(b.sigma))
+    return complex(pref * (np.sinh(eta * (beta - gauge.alpha) - b.tau)
+                           - np.sinh(b.alpha + b.beta)))
+
+
+def ad_plus_raw(lam, beta, alpha, params: ModelParams):
+    """Diagonal entries of the gauged K_+ in their raw beta-dependent form."""
+    bp = params.boundary_plus
+    eta = params.eta
+
+    def a_of(beta):
+        pref = np.exp(-lam - eta / 2) / (2 * np.sinh(eta * beta) * np.sinh(bp.sigma))
+        return pref * (np.exp(bp.sigma) * np.sinh(eta * beta)
+                       - np.exp(-bp.sigma) * np.sinh(2 * lam + eta + eta * beta)
+                       - 2 * bp.kappa * np.sinh(eta * alpha + bp.tau) * np.sinh(2 * lam + eta))
+
+    return complex(a_of(beta)), complex(a_of(-beta))
+
+
+def atilde_from_entries(lam, params: ModelParams, beta, alpha) -> np.ndarray:
+    """Linear-combination form of the gauged entry Atilde."""
+    eta = params.eta
+    u = u_minus(lam, params)
+    return (1 / (2 * np.sinh(eta * beta))) * (
+        -np.exp(2 * lam - eta - eta * beta) * u.A
+        - np.exp(lam - eta / 2 + eta * alpha) * u.B
+        + np.exp(lam - eta / 2 - eta * alpha) * u.C
+        + np.exp(eta * beta) * u.D)
+
+
+def btilde_from_entries(lam, params: ModelParams, beta, alpha) -> np.ndarray:
+    """Linear-combination form of the gauged entry Btilde."""
+    eta = params.eta
+    u = u_minus(lam, params)
+    return (1 / (2 * np.sinh(eta * beta))) * (
+        -np.exp(2 * lam - eta + eta * beta) * u.A
+        - np.exp(lam - eta / 2 + eta * alpha) * u.B
+        + np.exp(lam - eta / 2 + eta * (2 * beta - alpha)) * u.C
+        + np.exp(eta * beta) * u.D)
+
+
+# The block-building route that gauge.sos_apply replaced, kept as the reference.
+
+def dense_sos_blocks(names, lam, label, params: ModelParams, gauge: GaugeParams) -> list:
+    """The named blocks of M^SOS K^SOS_- Mhat^SOS as dense 2^N x 2^N matrices,
+    from the dense monodromies m_sos and mhat_sos: block (a, b) is
+    sum_{c,d} M^SOS_{ac} diag(K^SOS_{cd}) Mhat^SOS_{db}."""
+    k_sos = _sz_stack(lambda k: k_sos_minus(lam, label + k, params, gauge.alpha), params.N)
+    m = m_sos(lam, params, label).blocks
+    mhat = mhat_sos(lam, params, label).blocks
+    out = []
+    for name in names:
+        a, b = {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)}[name]
+        # sum_d diag(K_cd) Mhat_db, then one matmul over (c, columns of M_ac)
+        right = np.einsum("icd,dij->cij", k_sos, mhat[:, b])
+        out.append(np.concatenate(m[a], axis=1) @ np.concatenate(right, axis=0))
+    return out
+
+
+def block_raw_states(params: ModelParams, gauge: GaugeParams, side: str, label) -> np.ndarray:
+    """sov.raw_states from dense D (right) or A (left) blocks, one per site."""
+    N, eta = params.N, params.eta
+    dim = 2 ** N
+    states = np.zeros((1, dim), dtype=complex)
+    if side == "right":
+        states[0, -1] = 1.0
+        for j in range(N - 1, -1, -1):
+            op, = dense_sos_blocks("D", params.xi[j] + eta / 2, label, params, gauge)
+            states = np.concatenate([states, states @ op.T])
+        return states
+    states[0, 0] = 1.0
+    for j in range(N):
+        op, = dense_sos_blocks("A", eta / 2 - params.xi[j], label, params, gauge)
+        states = np.stack([states @ op, states], axis=1).reshape(-1, dim)
+    return states

@@ -7,7 +7,6 @@ from openxxz.lattice import (
     ID2,
     PERM4,
     AuxOp,
-    apply_local,
     bulk_monodromy,
     embed_aux_pair,
     kmat_generic,
@@ -20,11 +19,7 @@ from openxxz.lattice import (
 )
 from openxxz.gauge import (
     ad_plus,
-    ad_plus_raw,
-    atilde_from_entries,
     bcoef_minus,
-    bcoef_minus_alt,
-    btilde_from_entries,
     gauge_is_safe,
     k_plus_hat,
     k_sos_minus,
@@ -35,7 +30,9 @@ from openxxz.gauge import (
     s_local,
     s_local_inv,
     solve_gauge,
+    sos_apply,
     sos_block,
+    sos_factors,
     t_sos,
     transfer_from_tilde,
     u_sos,
@@ -45,6 +42,15 @@ from openxxz.gauge import (
     vertex_irf_residual,
     virf_bulk_residual,
     virf_mhat_residual,
+)
+from openxxz.sov import raw_states
+from gauge_helpers import (
+    ad_plus_raw,
+    atilde_from_entries,
+    bcoef_minus_alt,
+    block_raw_states,
+    btilde_from_entries,
+    dense_sos_blocks,
 )
 
 
@@ -110,46 +116,71 @@ def _per_label_sz_stack(mat_fn, nbits):
     sz = np.zeros(1, dtype=int)
     for _ in range(nbits):
         sz = np.concatenate([sz + 1, sz - 1])
-    mats = np.array([mat_fn(k) for k in range(-nbits, nbits + 1, 2)])
+    mats = np.array([mat_fn(np.array([k]))[0] for k in range(-nbits, nbits + 1, 2)])
     return mats[(sz + nbits) // 2]
 
 
-def _per_site_m_sos(lam, params, beta):
-    """The earlier form of gauge.m_sos: one per-label stack per site."""
-    N, eta = params.N, params.eta
-    out = AuxOp.identity(2 ** N)
-    for n in range(N, 0, -1):
-        r = _per_label_sz_stack(
-            lambda k: r_sos(lam - params.xi[n - 1] - eta / 2, beta + k, eta), N - n)
-        out = apply_local(out, r[:, gauge_mod._SWAP][:, :, gauge_mod._SWAP], n)
-    return out
+def _per_site_stacks(lam, params, beta):
+    """The earlier form of gauge._site_stacks: one per-label stack per site and point."""
+    N = params.N
+    lam = np.asarray(lam)
+    return [np.array([_per_label_sz_stack(lambda k: r_sos(x[n - 1], beta + k, params.eta), N - n)
+                      for x in lam.reshape(-1, N)]).reshape(lam.shape[:-1] + (2 ** (N - n), 4, 4))
+            for n in range(1, N + 1)]
 
 
-def _per_site_mhat_sos(lam, params, beta):
-    """The earlier form of gauge.mhat_sos: one per-label stack per site."""
-    N, eta = params.N, params.eta
-    out = AuxOp.identity(2 ** N)
-    for n in range(1, N + 1):
-        out = apply_local(out, _per_label_sz_stack(
-            lambda k: r_sos(lam + params.xi[n - 1] - eta / 2, beta + k, eta), N - n), n)
-    return out
+def _row_residual(got, ref) -> float:
+    """The largest difference of matching rows, relative to the row of ref."""
+    diff = np.max(np.abs(got - ref), axis=-1)
+    scale = np.max(np.abs(ref), axis=-1)
+    return float(np.max(np.where(diff == 0, 0, diff / np.maximum(scale, 1e-300))))
 
 
 def test_sos_blocks_match_per_label_stacks(setup5, monkeypatch):
+    # the kernel's factors come from one r_sos grid per monodromy and one K^SOS
+    # stack for all points; built one label, site and point at a time instead
     params, gauge = setup5
     lam = 0.53 + 0.11j
     labels = (gauge.beta - 1, gauge.beta + 1)
-    got = [u_sos(lam, params, label, gauge).blocks for label in labels]
+
+    def build():
+        return [u_sos(lam, params, label, gauge).blocks for label in labels] \
+            + [raw_states(params, gauge, side, label) for side in ("left", "right")
+               for label in labels]
+
+    got = build()
     monkeypatch.setattr(gauge_mod, "_sz_stack", _per_label_sz_stack)
-    monkeypatch.setattr(gauge_mod, "m_sos", _per_site_m_sos)
-    monkeypatch.setattr(gauge_mod, "mhat_sos", _per_site_mhat_sos)
-    ref = [u_sos(lam, params, label, gauge).blocks for label in labels]
-    for g, r in zip(got, ref):
-        for a in range(2):
-            for b in range(2):
-                # the same exact zeros, from S^z conservation
-                assert np.array_equal(g[a, b] == 0, r[a, b] == 0)
-                assert np.max(np.abs(g[a, b] - r[a, b])) <= 1e-13 * np.max(np.abs(r[a, b]))
+    monkeypatch.setattr(gauge_mod, "_site_stacks", _per_site_stacks)
+    ref = build()
+    for g, r in zip(got, ref, strict=True):
+        # the same exact zeros, from S^z conservation
+        assert np.array_equal(g == 0, r == 0)
+        assert _row_residual(g, r) <= 1e-13
+
+
+@pytest.mark.parametrize("N", range(1, 8))
+def test_sos_apply_matches_dense_blocks(N):
+    # the kernel on random row stacks, and the raw states it builds, against
+    # the dense block products it replaced
+    params = random_params(N, seed=5)
+    gauge = solve_gauge(params.boundary_plus, 1, 1, params.eta)
+    assert gauge_is_safe(gauge, params)
+    rng = rng_for(N, "sos-apply")
+    lam = complex(rng.uniform(0.2, 1.1), rng.uniform(-0.4, 0.4))
+    dim = 2 ** N
+    vecs = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+    for label in (gauge.beta - 1, gauge.beta + 1, gauge.beta - 3):
+        blocks = dense_sos_blocks("ABCD", lam, label, params, gauge)
+        for side in ("left", "right"):
+            factors = sos_factors([lam], label, params, gauge, side)[0]
+            for name, block in zip("ABCD", blocks, strict=True):
+                ref = vecs @ (block if side == "left" else block.T)
+                got = sos_apply(vecs, factors, name)
+                assert _row_residual(got, ref) < 1e-12, (label, side, name)
+    for side in ("left", "right"):
+        for label in (gauge.beta - 1, gauge.beta + 1):
+            got = raw_states(params, gauge, side, label)
+            assert _row_residual(got, block_raw_states(params, gauge, side, label)) < 1e-12
 
 
 def test_vertex_irf_relations():
