@@ -5,11 +5,15 @@ families it is evaluated on, the identities swapping the roles of the two
 point sets, and their Slavnov-type rewritings, over arbitrary complex point
 sets and function handles.
 
+A handle (f, g and every correction function built here) takes an array of
+lam and returns an array of the same shape; a scalar lam gives a scalar.
+Each handle is called once per point array, never point by point.
+
 The z -> infinity limits appearing in the downward g-recursions are resolved
 by exact leading-coefficient extraction: the symmetrized combinations are
 rational functions of varsigma with known denominators, so their numerator
 coefficients are recovered by sampling on a circle and inverse DFT, never by
-large-argument evaluation.
+large-argument evaluation.  Each g-family samples its handle on one circle.
 """
 
 from __future__ import annotations
@@ -43,11 +47,12 @@ def a_functional(zs, f, eta, g=None) -> complex:
     """Dressed Vandermonde ratio A_{z}[f, g].
 
     det over i, j of  sum_eps f(eps z_i) vs(z_i + eps eta/2)^{j-1}
-    plus g(z_i) added to the last column, divided by vdm_hat(z).
+    plus g(z_i) added to the last column, divided by vdm_hat(z).  f and g are
+    each called once on the array of points (f at z and at -z).
     """
-    zs = list(zs)
-    gz = [g(z) for z in zs] if g is not None else 0.0
-    return a_functional_values(zs, [f(z) for z in zs], [f(-z) for z in zs], gz, eta)
+    zs = np.asarray(zs)
+    gz = g(zs) if g is not None else 0.0
+    return a_functional_values(zs, f(zs), f(-zs), gz, eta)
 
 
 def a_functional_values(zs, fz, fmz, gz, eta) -> complex:
@@ -63,18 +68,17 @@ def a_functional_values(zs, fz, fmz, gz, eta) -> complex:
 
 def f_special(a_set, z_set, eta):
     """The structured handle prod sinh(lam+a)/sinh(2 lam) * prod (vs-vs(z))/(vs(+eta/2)-vs(z))."""
-    a_set = tuple(a_set)
-    z_set = tuple(z_set)
-    zpoly = TrigPoly(z_set)
+    a_set = np.asarray(a_set, dtype=complex)
+    zs = np.asarray(z_set, dtype=complex)
+    z_vs = varsigma(zs)
 
     def f(lam):
-        out = 1.0 + 0j
-        for a in a_set:
-            out *= np.sinh(lam + a)
-        return out / np.sinh(2 * lam) * zpoly(lam) / zpoly(lam + eta / 2)
+        lam = np.asarray(lam)
+        col = lam[..., None]
+        ratio = (varsigma(col) - z_vs) / (varsigma(col + eta / 2) - z_vs)
+        return np.sinh(col + a_set).prod(axis=-1) / np.sinh(2 * lam) * ratio.prod(axis=-1)
 
-    f.poles = tuple(varsigma(z - eta / 2) for z in z_set) \
-        + tuple(varsigma(z + eta / 2) for z in z_set)
+    f.poles = tuple(varsigma(zs - eta / 2)) + tuple(varsigma(zs + eta / 2))
     return f
 
 
@@ -90,84 +94,77 @@ def fbar_j(f, j: int, eta):
 # Exact rational representation in varsigma.
 # ---------------------------------------------------------------------------
 
+def circle_coefficients(sample, npts: int, poles, radius=None) -> np.ndarray:
+    """Numerator coefficients of sample(lam) * prod(vs - pole), vs = varsigma(lam).
+
+    ``sample`` is called once, on the canonical roots of npts points of the
+    circle |vs| = radius, and returns its values along the last axis; the
+    inverse DFT gives the coefficients of every row at once.
+    """
+    poles = np.asarray(poles, dtype=complex)
+    if radius is None:
+        radius = 2.0 + np.max(np.abs(poles), initial=0.0)
+    ks = np.arange(npts)
+    vs_pts = radius * np.exp(2j * np.pi * ks / npts)
+    vals = sample(canonical_root(vs_pts)) * np.prod(vs_pts[:, None] - poles, axis=-1)
+    return np.fft.fft(vals, axis=-1) / npts / radius ** ks
+
+
 class VsRational:
-    """Rational function of varsigma: numerator coefficients over fixed poles."""
+    """Rational function of varsigma over fixed poles, kept by its numerator coefficients."""
 
-    def __init__(self, num, poles):
+    def __init__(self, num):
         self.num = np.trim_zeros(np.asarray(num, dtype=complex), "b")
-        self.poles = tuple(poles)
-
-    def __call__(self, lam):
-        vs = varsigma(lam)
-        den = np.prod([vs - p for p in self.poles]) if self.poles else 1.0
-        return Poly.polyval(vs, self.num) / den
 
     def coeff(self, k: int) -> complex:
         return complex(self.num[k]) if k < len(self.num) else 0.0 + 0j
 
     @classmethod
     def from_function(cls, fn, degree: int, poles, radius: float | None = None):
-        """Sample fn(lam) * prod(vs - pole) on a circle and inverse-DFT."""
-        poles = tuple(poles)
-        if radius is None:
-            radius = 2.0 + max((abs(p) for p in poles), default=0.0)
-        npts = degree + 1
-        ks = np.arange(npts)
-        vs_pts = radius * np.exp(2j * np.pi * ks / npts)
-        vals = np.zeros(npts, dtype=complex)
-        for i, vs in enumerate(vs_pts):
-            lam = canonical_root(vs)
-            den = np.prod([vs - p for p in poles]) if poles else 1.0
-            vals[i] = fn(lam) * den
-        coeffs = np.fft.fft(vals) / npts / radius ** ks
-        return cls(coeffs, poles)
-
-    @classmethod
-    def from_vs_poly(cls, coeffs, poles):
-        """Polynomial in varsigma promoted over the common denominator."""
-        poles = tuple(poles)
-        return cls(Poly.polymul(np.asarray(coeffs, dtype=complex),
-                                Poly.polyfromroots(poles)), poles)
+        """Sample fn(lam) * prod(vs - pole) on a circle of degree + 1 points and inverse-DFT."""
+        return cls(circle_coefficients(fn, degree + 1, poles, radius))
 
 
 def g_levels(fb_coef, ref_coef, a_sum, eta, top: int, low: int, offset: int):
     """The downward recursion for the correction functions, from ``top`` to ``low``.
 
-    Level L is kept as g^(L) = sum_j gamma[L][j] fbar^(j) + delta[L] * ref.
-    ``fb_coef`` and ``ref_coef`` hold the exactly interpolated numerator
-    coefficients of fbar^(j) (j > low) and of the reference over a common
-    denominator.  fbar^(L) has degree offset + L and g^(L) cancels its top
-    coefficient; coefficient offset + L of level L + 1 is the z -> infinity
-    limit that fixes the step down to level L.
+    Level L is kept as g^(L) = sum_j gamma[j - L] fbar^(j) + delta * ref.
+    Row j - low - 1 of ``fb_coef`` holds the exactly interpolated numerator
+    coefficients of fbar^(j) (low < j <= top), and ``ref_coef`` those of the
+    reference, over a common denominator.  fbar^(L) has degree offset + L and
+    g^(L) cancels its top coefficient; coefficient offset + L of level L + 1
+    is the z -> infinity limit that fixes the step down to level L.  Returns
+    gamma and delta of level ``low``.
     """
-    gamma = {top: {}}
-    delta = {top: 1.0 + 0j}
+    gamma = np.zeros(top - low + 1, dtype=complex)
+    delta = 1.0 + 0j
     for L in range(top - 1, low - 1, -1):
         den = np.sinh((L + 1 - top) * eta - a_sum)
         if abs(den) < 1e-10:
             raise ValueError("resonant induction denominator; perturb the a-set")
         k = offset + L
-        coef = fb_coef[L + 1].coeff(k) + delta[L + 1] * ref_coef.coeff(k)
-        for j, c in gamma[L + 1].items():
-            coef += c * fb_coef[j].coeff(k)
-        new_gamma = {j: -c for j, c in gamma[L + 1].items()}
-        new_gamma[L] = new_gamma.get(L, 0.0) + (coef / den - 1.0)
-        new_gamma[L + 1] = new_gamma.get(L + 1, 0.0) - 1.0
-        gamma[L] = new_gamma
-        delta[L] = -delta[L + 1]
+        coef = fb_coef[L - low, k] + delta * ref_coef[k] + gamma[1:] @ fb_coef[:, k]
+        gamma = -gamma
+        gamma[L - low] += coef / den - 1.0
+        gamma[L + 1 - low] -= 1.0
+        delta = -delta
     return gamma, delta
 
 
 def g_family(f, ref_roots, a_sum, eta, level: int, top: int, offset: int,
              poles=(), radius=None):
-    """The correction function g^(level) of the handle f, elementwise in lam.
+    """The correction function g^(level) of the handle f, as a handle.
 
     At ``top`` it is the reference sinh(a_sum - eta) prod_r (vs - vs(r)) over
     ``ref_roots``; above, (-1)^(level - top) times the reference minus
     fbar^(level).  Below, ``g_levels`` runs on the numerator coefficients of
-    fbar^(j) (degree offset + j over ``poles``), sampled on a circle of the
-    given radius: the infinite-point limits need only their top band, which
-    circle sampling recovers accurately.
+    fbar^(j), level < j <= top (degree offset + j over ``poles``): f and
+    f(-lam) are sampled once, on one circle of offset + top + 2 points of the
+    given radius, and each fbar^(j) is a row of powers of vs(lam +- eta/2)
+    under one FFT.  The infinite-point limits need only the top band, which
+    circle sampling recovers accurately; the one spare point keeps this
+    circle apart from the ones degree_cancellation_residual reads.  Every g
+    calls f twice per point array, whatever the level.
     """
     ref_poly = TrigPoly(tuple(ref_roots))
     ref_scale = np.sinh(a_sum - eta)
@@ -184,18 +181,22 @@ def g_family(f, ref_roots, a_sum, eta, level: int, top: int, offset: int,
             return (-1) ** (level - top) * base(lam) - fb_level(lam)
         return g_above
 
-    fb_fns = {j: fbar_j(f, j, eta) for j in range(level, top + 1)}
-    fb_coef = {j: VsRational.from_function(fb_fns[j], offset + j, poles, radius)
-               for j in range(level + 1, top + 1)}
-    ref_coef = VsRational.from_vs_poly(
-        ref_scale * Poly.polyfromroots(varsigma(np.asarray(ref_roots))), poles)
-    gamma, delta = g_levels(fb_coef, ref_coef, a_sum, eta, top, level, offset)
+    def rows(lam):
+        powers = np.arange(level, top)[:, None]
+        return f(lam) * varsigma(lam + eta / 2) ** powers \
+            + f(-lam) * varsigma(lam - eta / 2) ** powers
+
+    npts = offset + top + 2
+    fb_coef = circle_coefficients(rows, npts, poles, radius)
+    # the reference's numerator coefficients, exact from its roots in vs
+    ref_coef = ref_scale * np.poly(np.append(varsigma(np.asarray(ref_roots)), poles))[::-1]
+    gamma, delta = g_levels(fb_coef, np.pad(ref_coef, (0, npts)), a_sum, eta, top, level,
+                            offset)
 
     def g(lam):
-        out = delta[level] * base(lam)
-        for j, c in gamma[level].items():
-            out += c * fb_fns[j](lam)
-        return out
+        vp, vm = varsigma(lam + eta / 2), varsigma(lam - eta / 2)
+        return delta * base(lam) + f(lam) * vp ** (level - 1) * Poly.polyval(vp, gamma) \
+            + f(-lam) * vm ** (level - 1) * Poly.polyval(vm, gamma)
 
     return g
 
@@ -258,9 +259,8 @@ def phi_ratio(lam, x_set, eta) -> complex:
 
 
 def onshell_residual(f, x_set, eta) -> float:
-    vals = [abs(f(-x) - f(x) * phi_ratio(x, [xx for xx in x_set], eta))
-            for x in x_set]
-    return float(max(vals))
+    xs = np.asarray(x_set)
+    return float(np.max(np.abs(f(-xs) - f(xs) * phi_ratio(xs, x_set, eta))))
 
 
 def onshell_solve(f, x_init, eta, tol: float = 1e-11, maxit: int = 50):
@@ -301,12 +301,11 @@ def onshell_solve(f, x_init, eta, tol: float = 1e-11, maxit: int = 50):
 def x_weights(x_set, gx, fmx, eta):
     """X^g_{f,k} = g(x_k) sinh(2x_k - eta) / (f(-x_k) X'(x_k) X(x_k - eta)).
 
-    Takes the values gx = g(x_k) and fmx = f(-x_k); the dtype follows them.
+    Takes the arrays gx = g(x_k) and fmx = f(-x_k); the dtype follows them.
     """
-    xpoly = TrigPoly(tuple(x_set))
-    return np.array([gk * np.sinh(2 * xk - eta)
-                     / (fk * xpoly.deriv(xk) * xpoly(xk - eta))
-                     for xk, gk, fk in zip(x_set, gx, fmx)])
+    xs = np.asarray(x_set)
+    xpoly = TrigPoly(tuple(xs))
+    return gx * np.sinh(2 * xs - eta) / (fmx * xpoly.deriv(xs) * xpoly(xs - eta))
 
 
 def bethe_kernel(ys, w_pm, xs, c_plus, c_minus, eta) -> np.ndarray:
@@ -452,7 +451,8 @@ def balanced_g_handle(rng, f, x_set, eta):
     checks numerically meaningful without restricting the function class.
     """
     g0 = random_fn_handle(rng, eta)
-    w = x_weights(x_set, [g0(x) for x in x_set], [f(-x) for x in x_set], eta)
+    xs = np.asarray(x_set)
+    w = x_weights(xs, g0(xs), f(-xs), eta)
     scale = np.median(np.abs(w))
     if scale < 1e-280:
         return g0
@@ -469,20 +469,16 @@ def trig_lagrange(nodes, values):
 
     Node values are reproduced exactly (each basis function vanishes
     identically at the other nodes), which is what the on-shell construction
-    needs.
+    needs.  The node denominators are computed once, here.
     """
-    nodes = list(nodes)
-    values = list(values)
+    nodes = np.asarray(nodes, dtype=complex)
+    values = np.asarray(values, dtype=complex)
+    others = ~np.eye(len(nodes), dtype=bool)
+    den = np.where(others, np.sinh(nodes[:, None] - nodes), 1).prod(axis=-1)
 
     def f(lam):
-        out = 0.0 + 0j
-        for i, (ni, vi) in enumerate(zip(nodes, values)):
-            term = vi
-            for j, nj in enumerate(nodes):
-                if j != i:
-                    term *= np.sinh(lam - nj) / np.sinh(ni - nj)
-            out += term
-        return out
+        num = np.where(others, np.sinh(np.asarray(lam)[..., None, None] - nodes), 1)
+        return (values * num.prod(axis=-1) / den).sum(axis=-1)
 
     return f
 
@@ -496,9 +492,9 @@ def onshell_handle_family(rng, x_set, eta):
     """
     x_set = list(x_set)
     vals = rng.normal(size=len(x_set)) + 1j * rng.normal(size=len(x_set))
-    mirror = [v * phi_ratio(xk, x_set, eta) for xk, v in zip(x_set, vals)]
+    mirror = vals * phi_ratio(np.asarray(x_set), x_set, eta)
     nodes = x_set + [-xk for xk in x_set]
-    values = list(vals) + mirror
+    values = list(vals) + list(mirror)
     for _ in range(2):
         nodes.append(complex(rng.uniform(1.6, 2.2), rng.uniform(0.6, 1.0)))
         values.append(complex(rng.normal(), rng.normal()))

@@ -282,7 +282,10 @@ def _tq_table(p, qpoly: TrigPoly, eps: EpsChoice, params: ModelParams):
 
 
 def _jacobian(p, q, table, eta) -> np.ndarray:
-    """slavnov_matrix from the T-Q table of p, with tau(p) Q(p) the sum of its terms."""
+    """Jacobian d tau(p_j) / d q_k from the closed root-derivative formula.
+
+    Reads the T-Q table of p, with tau(p) Q(p) the sum of its terms.
+    """
     qp, t_minus, t_plus = table
     if np.any(np.abs(qp) < 1e-280):
         raise ValueError("p root collides with a q root")
@@ -291,18 +294,6 @@ def _jacobian(p, q, table, eta) -> np.ndarray:
         + t_plus[:, None] / (varsigma(p + eta)[:, None] - vq) \
         - (t_minus + t_plus)[:, None] / (varsigma(p)[:, None] - vq)
     return -np.sinh(2 * q) * val / qp[:, None]
-
-
-def slavnov_matrix(p_roots, q_roots, eps: EpsChoice, params: ModelParams) -> np.ndarray:
-    """Jacobian d tau(p_j) / d q_k from the closed root-derivative formula.
-
-    Assembled in extended precision: the determinant built on top cancels
-    through the graded column scales.
-    """
-    p = np.array(p_roots, dtype=np.clongdouble)
-    q = np.array(q_roots, dtype=np.clongdouble)
-    table = _tq_table(p, TrigPoly(tuple(q)), eps, params)
-    return _jacobian(p, q, table, np.clongdouble(params.eta))
 
 
 def _root_weights(q_roots, g, aset: ASet, params: ModelParams) -> np.ndarray:

@@ -350,7 +350,7 @@ def solve_tq(tau: TauPoly, params: ModelParams, eps: EpsChoice,
             dp = np.polynomial.polynomial.polyval(r, dcoef)
             if abs(dp) > 1e-13:
                 roots_vs[i] = r - np.polynomial.polynomial.polyval(r, coeffs) / dp
-        q = TrigPoly(roots=tuple(canonical_root(r) for r in roots_vs))
+        q = TrigPoly(roots=tuple(canonical_root(roots_vs)))
     else:
         q = TrigPoly(roots=())
 

@@ -31,19 +31,15 @@ def canonical_root(sigma_value):
     """Deterministic lambda with varsigma(lambda) equal to the given value.
 
     The representative lies in the strip Im(lam) in (-pi/2, pi/2] with
-    Re(lam) >= 0 whenever the residual sign choice is free.
+    Re(lam) >= 0 whenever the residual sign choice is free.  Broadcasts over
+    an array of values; a scalar value gives a complex.
     """
     lam = 0.5 * np.arccosh(2 * np.asarray(sigma_value, dtype=complex) + 0j)
-    lam = complex(lam)
-    if lam.real < 0 or (lam.real == 0 and lam.imag < 0):
-        lam = -lam
-    if lam.imag <= -np.pi / 2:
-        lam += _IPI
-    elif lam.imag > np.pi / 2:
-        lam -= _IPI
-    if abs(lam.imag + np.pi / 2) < 1e-15:
-        lam = lam.conjugate()
-    return lam
+    lam = np.where((lam.real < 0) | ((lam.real == 0) & (lam.imag < 0)), -lam, lam)
+    lam = np.where(lam.imag <= -np.pi / 2, lam + _IPI,
+                   np.where(lam.imag > np.pi / 2, lam - _IPI, lam))
+    lam = np.where(abs(lam.imag + np.pi / 2) < 1e-15, lam.conj(), lam)
+    return complex(lam) if lam.ndim == 0 else lam
 
 
 def vdm_hat(xs) -> complex:
@@ -163,13 +159,6 @@ def bulk_ad(lam, params: ModelParams):
     return a, d
 
 
-def a_h(lam, h, params: ModelParams) -> complex:
-    """prod_n sinh(lam - xi_n - eta/2 + h_n eta) for a bit tuple h."""
-    xi = np.asarray(params.xi)
-    hh = np.asarray(h)
-    return complex(np.prod(np.sinh(lam - xi - params.eta / 2 + hh * params.eta)))
-
-
 @dataclass(frozen=True)
 class TrigPoly:
     """Even trig polynomial prod_j (sinh^2 lam - sinh^2 lam_j), stored by roots.
@@ -177,13 +166,16 @@ class TrigPoly:
     Monic in varsigma: evaluation equals prod_j (varsigma(lam) - varsigma(lam_j)).
     Extended-precision (``np.clongdouble``) roots are kept as they are, so
     evaluation stays in that precision; every other root is cast to complex.
+    The roots' varsigma values are computed once, at construction.
     """
 
     roots: tuple = field(default_factory=tuple)
+    _vs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "roots", tuple(
             r if isinstance(r, np.clongdouble) else complex(r) for r in self.roots))
+        object.__setattr__(self, "_vs", tuple(varsigma(r) for r in self.roots))
 
     @property
     def degree(self) -> int:
@@ -193,14 +185,14 @@ class TrigPoly:
         """The value at lam; an array of lam gives an array of its shape."""
         vs = varsigma(lam)
         out = np.ones_like(vs, dtype=complex) if isinstance(vs, np.ndarray) else 1.0 + 0j
-        for r in self.roots:
-            out = out * (vs - varsigma(r))
+        for vr in self._vs:
+            out = out * (vs - vr)
         return out
 
     def deriv(self, lam):
         """d/dlam of the evaluation (not the varsigma derivative)."""
         vs = varsigma(lam)
-        vals = [vs - varsigma(r) for r in self.roots]
+        vals = [vs - vr for vr in self._vs]
         total = 0.0 + 0j
         for j in range(len(vals)):
             term = np.sinh(2 * lam)
@@ -214,8 +206,7 @@ class TrigPoly:
         """Roots must avoid the shifted-inhomogeneity grid in varsigma."""
         grid = [varsigma(params.xi_shifted(n, h))
                 for n in range(1, params.N + 1) for h in (0, 1)]
-        for r in self.roots:
-            vr = varsigma(r)
+        for vr in self._vs:
             if any(abs(vr - g) < delta for g in grid):
                 return False
         return True

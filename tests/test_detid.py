@@ -1,10 +1,12 @@
 import functools
+import inspect
 
 import numpy as np
 import pytest
 
-from openxxz import detid
-from openxxz.trig import rng_for, varsigma
+from openxxz import detid, scalar
+from openxxz.sov import ADMISSIBLE_EPS
+from openxxz.trig import canonical_root, random_params, rng_for, varsigma
 from openxxz.detid import (
     VsRational,
     a_functional,
@@ -14,6 +16,7 @@ from openxxz.detid import (
     degree_cancellation_residual,
     f_special,
     fbar_j,
+    g_family,
     generic_point_set,
     onshell_handle_family,
     onshell_residual,
@@ -147,6 +150,133 @@ def test_degree_cancellation():
         a = rand_pts(rng, 4)
         x = rand_pts(rng, 4)
         assert degree_cancellation_residual(a, x, ETA) < 1e-9
+
+
+def test_degree_cancellation_detects_a_perturbed_recursion(monkeypatch):
+    # the residual reads circles of 3n + 1 points, the recursion one of
+    # 3n + 2: a 1e-6 relative error in one gamma coefficient must show
+    rng = rng_for(9, "dc")
+    a, x = rand_pts(rng, 4), rand_pts(rng, 4)
+    assert degree_cancellation_residual(a, x, ETA) < 1e-9
+    levels = detid.g_levels
+
+    def perturbed(*args):
+        gamma, delta = levels(*args)
+        gamma = gamma.copy()
+        gamma[0] *= 1 + 1e-6
+        return gamma, delta
+
+    monkeypatch.setattr(detid, "g_levels", perturbed)
+    assert degree_cancellation_residual(a, x, ETA) > 1e-9
+
+
+def _exchange_handle(rng, n):
+    """f_ex of the exchange identities on a generic n-point set, with a and x."""
+    a = rand_pts(rng, 4)
+    x = generic_point_set(rng, n, ETA)
+    return f_special(tuple(ETA / 2 - al for al in a), x, ETA), a, x
+
+
+def test_handles_evaluate_arrays_as_points():
+    rng = rng_for(40, "array-handles")
+    lam = np.array(rand_pts(rng, 6)).reshape(2, 3)
+    f_ex, a, x = _exchange_handle(rng, 4)
+    f_rand = random_fn_handle(rng, ETA)
+    handles = {"f_special": f_special(a, rand_pts(rng, 2), ETA),
+               "fbar_j": fbar_j(f_ex, 3, ETA),
+               "random_fn_handle": f_rand,
+               "onshell_handle_family": onshell_handle_family(rng, x, ETA),
+               "balanced_g_handle": balanced_g_handle(rng, f_rand, x, ETA)}
+    for level in (2, 4, 6):
+        handles[f"g_family level {level}"] = g_family(f_ex, x, sum(a), ETA, level, 4, 8,
+                                                      f_ex.poles)
+    for name, h in handles.items():
+        arr = h(lam)
+        pts = np.array([[h(point) for point in row] for row in lam])
+        assert arr.shape == lam.shape, name
+        assert np.max(np.abs(arr - pts) / np.abs(pts)) < 1e-14, name
+
+
+def test_canonical_root_broadcasts_bit_for_bit():
+    rng = rng_for(5, "roots")
+    vals = [complex(v) for v in rng.normal(size=200) + 1j * rng.normal(size=200)]
+    # the real axis holds both strip edges: Re(lam) = 0 for |v| <= 1/2 and
+    # Im(lam) = pi/2 below -1/2; signed zeros pick the side
+    edges = [complex(r, s) for r in np.linspace(-3, 3, 25) for s in (0.0, -0.0)] \
+        + [complex(-0.0, s) for s in (0.0, -0.0, 0.3, -0.3)]
+    values = np.array(vals + edges)
+    pointwise = np.array([canonical_root(v) for v in values])
+    assert canonical_root(values).tobytes() == pointwise.tobytes()
+    assert canonical_root(values.reshape(2, -1)).tobytes() == pointwise.tobytes()
+
+
+class Counted:
+    """A handle that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, lam):
+        self.calls += 1
+        return self.fn(lam)
+
+
+def test_handles_are_called_once_per_point_array():
+    rng = rng_for(41, "call-count")
+    f_ex, a, x = _exchange_handle(rng, 4)
+    f, g = Counted(f_ex), Counted(random_fn_handle(rng, ETA))
+    a_functional(rand_pts(rng, 4), f, ETA, g)
+    assert (f.calls, g.calls) == (2, 1)
+    lam = np.array(rand_pts(rng, 5))
+    for level in (1, 2, 5):
+        f.calls = 0
+        g_level = g_family(f, x, sum(a), ETA, level, 4, 8, f_ex.poles)
+        # the recursion below top samples f and f(-lam) on its circle once
+        assert f.calls == (2 if level < 4 else 0)
+        f.calls = 0
+        g_level(lam)
+        assert f.calls == 2
+
+
+def test_one_circle_matches_per_level_coefficients(monkeypatch):
+    # the coefficients the recursion reads, offset + L for each level L below
+    # row j, against a circle of its own per fbar^(j)
+    seen = {}
+    levels, family = detid.g_levels, scalar.g_family
+
+    def capture_levels(fb_coef, *args):
+        seen["fb_coef"] = fb_coef
+        return levels(fb_coef, *args)
+
+    def capture_family(*args, **kwargs):
+        bound = inspect.signature(family).bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen["args"] = bound.arguments
+        return family(*args, **kwargs)
+
+    monkeypatch.setattr(detid, "g_levels", capture_levels)
+    monkeypatch.setattr(scalar, "g_family", capture_family)
+
+    def check(f, eta, level, top, offset, poles, radius):
+        for j in range(level + 1, top + 1):
+            per_level = VsRational.from_function(fbar_j(f, j, eta), offset + j, poles, radius)
+            for k in range(offset + level, offset + j):
+                one = seen["fb_coef"][j - level - 1, k]
+                assert abs(one - per_level.coeff(k)) < 1e-12 * abs(per_level.coeff(k))
+
+    for n, m in ((4, 2), (5, 3)):
+        f_ex, a, x = _exchange_handle(rng_for(20, "circle", n, m), n)
+        g_family(f_ex, x, sum(a), ETA, m, n, 2 * n, f_ex.poles)
+        check(f_ex, ETA, m, n, 2 * n, f_ex.poles, None)
+    E0 = ADMISSIBLE_EPS[0]
+    for N in (3, 4, 5):
+        params = random_params(N, seed=1)
+        aset = scalar.build_aset(E0, E0, params)
+        for level in range(N):
+            scalar.g_eps_handle.__wrapped__(level, aset, params)
+            got = seen["args"]
+            check(got["f"], got["eta"], level, got["top"], got["offset"], got["poles"],
+                  got["radius"])
 
 
 def test_onshell_solve_and_phi():

@@ -10,10 +10,8 @@ PACKAGE = ROOT / "src" / "openxxz"
 # caller (a suite that reports it) or move into tests/; this set may only
 # shrink, and the test fails on an entry that has gained a caller.
 TEST_ONLY = {
-    "a_h": "trig",
     "app_c_product": "sov",
     "bethe_form_state": "scalar",
-    "slavnov_matrix": "scalar",
     "u_weight_product_form": "sov",
     "virf_bulk_residual": "gauge",
     "virf_mhat_residual": "gauge",

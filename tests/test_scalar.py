@@ -22,7 +22,6 @@ from openxxz.scalar import (
     gaudin_matrix,
     gaudin_norm,
     separate_state,
-    slavnov_matrix,
     sp_direct,
     sp_slavnov,
     sp_slavnov_gen,
@@ -30,7 +29,7 @@ from openxxz.scalar import (
     sp_thm52,
     sov_matrix,
 )
-from tq_helpers import tq_ratio
+from tq_helpers import slavnov_matrix, tq_ratio
 
 E0 = EpsChoice(1, 1, 1, 1)
 E1 = EpsChoice(1, -1, -1, 1)

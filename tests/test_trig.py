@@ -6,7 +6,6 @@ from openxxz.trig import (
     ModelParams,
     TrigPoly,
     canonical_root,
-    a_h,
     bulk_ad,
     random_params,
     reparam_boundary,
@@ -14,6 +13,8 @@ from openxxz.trig import (
     varsigma,
     vdm_hat,
 )
+
+from tq_helpers import a_h
 
 
 def test_varsigma_special_points():
