@@ -3,8 +3,9 @@
 The native SoV determinant spreads the inhomogeneities through every
 matrix entry and degenerates as they coalesce; the exchanged-variable form
 depends on them only through smooth prefactors.  The sweep shrinks
-xi_j = eps * j and compares both against an extended-precision dense
-contraction.
+xi_j = eps * j and compares the exchanged form against the SoV determinant
+evaluated in extended precision, at as many digits as its cancellation
+needs.
 """
 
 from openxxz.suites import RunConfig, homog_sweep

@@ -107,14 +107,6 @@ def _sz_stack(mat_fn, nbits: int) -> np.ndarray:
     return mat_fn(np.arange(-nbits, nbits + 1, 2))[_sz_index(nbits)]
 
 
-def _aux_diag(stack) -> AuxOp:
-    """AuxOp whose (a, b) block is diagonal with entries stack[:, a, b]."""
-    dim = len(stack)
-    blocks = np.zeros((2, 2, dim, dim), dtype=complex)
-    blocks[:, :, np.arange(dim), np.arange(dim)] = stack.transpose(1, 2, 0)
-    return AuxOp(blocks)
-
-
 def s_chain(params: ModelParams, beta, alpha) -> np.ndarray:
     """Chain gauge matrix S_{1...N}({xi} | beta)."""
     N, eta = params.N, params.eta
@@ -125,19 +117,6 @@ def s_chain(params: ModelParams, beta, alpha) -> np.ndarray:
     return out
 
 
-def s_chain_aux(params: ModelParams, beta, alpha) -> AuxOp:
-    """S_{1...N}({xi} | beta + sigma_0^z), block diagonal in the aux space."""
-    up = s_chain(params, beta + 1, alpha)
-    dn = s_chain(params, beta - 1, alpha)
-    z = np.zeros_like(up)
-    return AuxOp([[up, z], [z, dn]])
-
-
-def s_aux_dyn(lam, beta, alpha, params: ModelParams) -> AuxOp:
-    """S_0(lam | beta + S^z): scalar gauge matrix with shift by the total spin."""
-    return _aux_diag(_sz_stack(lambda k: s_local(lam, beta + k, alpha, params.eta), params.N))
-
-
 def _site_stacks(lam, params: ModelParams, beta) -> list:
     """The ``_sz_stack`` of r_sos(lam[..., n - 1], beta + k) for each site n,
     read from one r_sos call on the grid of (points,) sites and shifts
@@ -146,28 +125,6 @@ def _site_stacks(lam, params: ModelParams, beta) -> list:
     # labels as a row keep the numpy loops, and so the bits, of per-site stacks
     grid = r_sos(np.asarray(lam)[..., None], beta + np.arange(1 - N, N)[None, :], params.eta)
     return [grid[..., n - 1, n - 1 + 2 * _sz_index(N - n), :, :] for n in range(1, N + 1)]
-
-
-def m_sos(lam, params: ModelParams, beta) -> AuxOp:
-    """Gauged bulk monodromy: ordered product of dynamical R_{n0} factors."""
-    N = params.N
-    stacks = _site_stacks(lam - np.array(params.xi) - params.eta / 2, params, beta)
-    out = AuxOp.identity(2 ** N)
-    for n in range(N, 0, -1):
-        # swapping the two legs moves the site leg of R_{n0} second, as
-        # apply_local expects
-        out = apply_local(out, stacks[n - 1][:, _SWAP][:, :, _SWAP], n)
-    return out
-
-
-def mhat_sos(lam, params: ModelParams, beta) -> AuxOp:
-    """Gauged hat monodromy: ordered product of dynamical R_{0n} factors."""
-    N = params.N
-    stacks = _site_stacks(lam + np.array(params.xi) - params.eta / 2, params, beta)
-    out = AuxOp.identity(2 ** N)
-    for n in range(1, N + 1):
-        out = apply_local(out, stacks[n - 1], n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -402,33 +359,6 @@ def vertex_irf2_residual(lam, mu, beta, alpha, eta) -> float:
     rhs = np.kron(s_local(-lam, beta, alpha, eta), ID2) @ _s_dyn(-mu, beta, alpha, eta, 2) \
         @ r_sos21
     return rel_residual(lhs, rhs)
-
-
-def virf_bulk_residual(lam, params: ModelParams, gauge: GaugeParams) -> float:
-    """Residual of the bulk gauge relation between M and M^SOS."""
-    from .lattice import bulk_monodromy
-    beta, alpha = gauge.beta, gauge.alpha
-    eta = params.eta
-    m = bulk_monodromy(lam, params)
-    schain = s_chain(params, beta, alpha)
-    lhs = AuxOp(m.blocks @ schain) @ s_aux_dyn(-lam + eta / 2, beta, alpha, params)
-    s0 = s_local(-lam + eta / 2, beta, alpha, eta)
-    rhs = s_chain_aux(params, beta, alpha).left_scalar(s0) @ m_sos(lam, params, beta)
-    return rel_residual(lhs.full(), rhs.full())
-
-
-def virf_mhat_residual(lam, params: ModelParams, gauge: GaugeParams) -> float:
-    """Residual of the hat-monodromy gauge relation."""
-    from .lattice import mhat
-    beta, alpha = gauge.beta, gauge.alpha
-    eta = params.eta
-    mh = mhat(lam, params)
-    s0 = s_local(lam - eta / 2, beta, alpha, eta)
-    schain = s_chain(params, beta, alpha)
-    lhs = mh.right_scalar(s0) @ s_chain_aux(params, beta, alpha)
-    rhs_right = s_aux_dyn(lam - eta / 2, beta, alpha, params) @ mhat_sos(lam, params, beta)
-    rhs = AuxOp(schain @ rhs_right.blocks)
-    return rel_residual(lhs.full(), rhs.full())
 
 
 def verify_sos_algebra(params: ModelParams, gauge: GaugeParams, seed: int = 0):

@@ -498,10 +498,11 @@ def homog_sweep(config: RunConfig, epsilons=(1e-1, 1e-2, 1e-3)):
     """Scalar products along xi_j = eps * j, with the regularity comparison.
 
     Each row carries the exchanged-representation value, its deviation from
-    the extended-precision dense oracle, and the conditioning estimate of the
-    raw SoV determinant matrix.
+    the extended-precision SoV determinant (``mpref.sp_sov_mp``), and the
+    conditioning estimate of the raw SoV determinant matrix.  A row whose
+    referee raises has rel_diff NaN and the exception in ``error``.
     """
-    from .mpref import sp_direct_mp
+    from .mpref import sp_sov_mp
 
     base = config.model()
     gauge = _gauge(base)
@@ -520,11 +521,15 @@ def homog_sweep(config: RunConfig, epsilons=(1e-1, 1e-2, 1e-3)):
         params = base.with_xi(tuple(epsv * (j + 1) for j in range(N)))
         flagged = not params.is_generic()
         t_val, _ = sp_thm52(qs, ps, params, gauge)
-        oracle = sp_direct_mp(qs, ps, params, gauge) if N <= 3 else None
+        rel, error = float("nan"), None
+        try:
+            oracle = sp_sov_mp(qs, ps, params, gauge)
+            rel = abs(t_val - oracle) / abs(oracle)
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
 
         # conditioning of the raw SoV determinant matrix
         cond = float(np.linalg.cond(sov_matrix(qs, ps, params)))
-        rel = abs(t_val - oracle) / abs(oracle) if oracle is not None else float("nan")
         rows.append({"epsilon": float(epsv), "value": t_val, "rel_diff": rel,
-                     "sov_conditioning": cond, "flagged": flagged})
+                     "sov_conditioning": cond, "flagged": flagged, "error": error})
     return rows

@@ -190,7 +190,10 @@ class TrigPoly:
         return out
 
     def deriv(self, lam):
-        """d/dlam of the evaluation (not the varsigma derivative)."""
+        """d/dlam of the evaluation (not the varsigma derivative).
+
+        The products are out of place, so the dtype is the widest of lam's
+        and the roots', as in ``__call__``."""
         vs = varsigma(lam)
         vals = [vs - vr for vr in self._vs]
         total = 0.0 + 0j
@@ -198,8 +201,8 @@ class TrigPoly:
             term = np.sinh(2 * lam)
             for k, v in enumerate(vals):
                 if k != j:
-                    term *= v
-            total += term
+                    term = term * v
+            total = total + term
         return total
 
     def admissible_for(self, params: ModelParams, delta: float = VS_COLLISION) -> bool:

@@ -1,16 +1,19 @@
 """Helpers shared by the test modules: closed forms with no caller in the
-package, and the dense references that the SOS kernel replaced."""
+package, the dense SOS monodromies and the gauge relations they satisfy,
+and the dense references that the SOS kernel replaced."""
 
 import numpy as np
 
 from openxxz.gauge import (
+    _SWAP,
     GaugeParams,
+    _site_stacks,
     _sz_stack,
     k_sos_minus,
-    m_sos,
-    mhat_sos,
+    s_chain,
+    s_local,
 )
-from openxxz.lattice import u_minus
+from openxxz.lattice import AuxOp, apply_local, bulk_monodromy, mhat, rel_residual, u_minus
 from openxxz.trig import ModelParams
 
 
@@ -57,6 +60,74 @@ def btilde_from_entries(lam, params: ModelParams, beta, alpha) -> np.ndarray:
         - np.exp(lam - eta / 2 + eta * alpha) * u.B
         + np.exp(lam - eta / 2 + eta * (2 * beta - alpha)) * u.C
         + np.exp(eta * beta) * u.D)
+
+
+# The dense SOS monodromies, and the Vertex-IRF relations that tie them to the
+# vertex-model monodromies.
+
+def s_chain_aux(params: ModelParams, beta, alpha) -> AuxOp:
+    """S_{1...N}({xi} | beta + sigma_0^z), block diagonal in the aux space."""
+    up = s_chain(params, beta + 1, alpha)
+    dn = s_chain(params, beta - 1, alpha)
+    z = np.zeros_like(up)
+    return AuxOp([[up, z], [z, dn]])
+
+
+def s_aux_dyn(lam, beta, alpha, params: ModelParams) -> AuxOp:
+    """S_0(lam | beta + S^z): scalar gauge matrix with shift by the total spin,
+    its (a, b) block diagonal over the sigma^z configurations."""
+    stack = _sz_stack(lambda k: s_local(lam, beta + k, alpha, params.eta), params.N)
+    dim = len(stack)
+    blocks = np.zeros((2, 2, dim, dim), dtype=complex)
+    blocks[:, :, np.arange(dim), np.arange(dim)] = stack.transpose(1, 2, 0)
+    return AuxOp(blocks)
+
+
+def m_sos(lam, params: ModelParams, beta) -> AuxOp:
+    """Gauged bulk monodromy: ordered product of dynamical R_{n0} factors."""
+    N = params.N
+    stacks = _site_stacks(lam - np.array(params.xi) - params.eta / 2, params, beta)
+    out = AuxOp.identity(2 ** N)
+    for n in range(N, 0, -1):
+        # swapping the two legs moves the site leg of R_{n0} second, as
+        # apply_local expects
+        out = apply_local(out, stacks[n - 1][:, _SWAP][:, :, _SWAP], n)
+    return out
+
+
+def mhat_sos(lam, params: ModelParams, beta) -> AuxOp:
+    """Gauged hat monodromy: ordered product of dynamical R_{0n} factors."""
+    N = params.N
+    stacks = _site_stacks(lam + np.array(params.xi) - params.eta / 2, params, beta)
+    out = AuxOp.identity(2 ** N)
+    for n in range(1, N + 1):
+        out = apply_local(out, stacks[n - 1], n)
+    return out
+
+
+def virf_bulk_residual(lam, params: ModelParams, gauge: GaugeParams) -> float:
+    """Residual of the bulk gauge relation between M and M^SOS."""
+    beta, alpha = gauge.beta, gauge.alpha
+    eta = params.eta
+    m = bulk_monodromy(lam, params)
+    schain = s_chain(params, beta, alpha)
+    lhs = AuxOp(m.blocks @ schain) @ s_aux_dyn(-lam + eta / 2, beta, alpha, params)
+    s0 = s_local(-lam + eta / 2, beta, alpha, eta)
+    rhs = s_chain_aux(params, beta, alpha).left_scalar(s0) @ m_sos(lam, params, beta)
+    return rel_residual(lhs.full(), rhs.full())
+
+
+def virf_mhat_residual(lam, params: ModelParams, gauge: GaugeParams) -> float:
+    """Residual of the hat-monodromy gauge relation."""
+    beta, alpha = gauge.beta, gauge.alpha
+    eta = params.eta
+    mh = mhat(lam, params)
+    s0 = s_local(lam - eta / 2, beta, alpha, eta)
+    schain = s_chain(params, beta, alpha)
+    lhs = mh.right_scalar(s0) @ s_chain_aux(params, beta, alpha)
+    rhs_right = s_aux_dyn(lam - eta / 2, beta, alpha, params) @ mhat_sos(lam, params, beta)
+    rhs = AuxOp(schain @ rhs_right.blocks)
+    return rel_residual(lhs.full(), rhs.full())
 
 
 # The block-building route that gauge.sos_apply replaced, kept as the reference.

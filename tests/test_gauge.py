@@ -23,8 +23,6 @@ from openxxz.gauge import (
     gauge_is_safe,
     k_plus_hat,
     k_sos_minus,
-    m_sos,
-    mhat_sos,
     r_sos,
     s_chain,
     s_local,
@@ -40,8 +38,6 @@ from openxxz.gauge import (
     verify_sos_algebra,
     vertex_irf2_residual,
     vertex_irf_residual,
-    virf_bulk_residual,
-    virf_mhat_residual,
 )
 from openxxz.sov import raw_states
 from gauge_helpers import (
@@ -51,6 +47,10 @@ from gauge_helpers import (
     block_raw_states,
     btilde_from_entries,
     dense_sos_blocks,
+    m_sos,
+    mhat_sos,
+    virf_bulk_residual,
+    virf_mhat_residual,
 )
 
 
@@ -263,7 +263,6 @@ def test_chain_products_match_kron_embedding():
 def test_m_sos_single_site():
     params = random_params(1, seed=16)
     gauge = solve_gauge(params.boundary_plus, 1, 1, params.eta)
-    from openxxz.gauge import m_sos
     lam = 0.7 - 0.3j
     m = m_sos(lam, params, gauge.beta)
     r = r_sos(lam - params.xi[0] - params.eta / 2, gauge.beta, params.eta)
@@ -509,28 +508,3 @@ def test_sos_algebra_relations(setup3):
     for name, res in verify_sos_algebra(params, gauge, seed=5):
         bound = 1e-9 if name == "comm-AB" else 1e-10
         assert res < bound, f"{name}: {res}"
-
-
-@pytest.mark.parametrize("N", [1, 2, 3, 4])
-def test_mp_mirror_operators_match_double(N):
-    # the 40-digit mirror's tilde blocks and chain gauge against the double
-    # code, at a generic point and at the points sp_direct_mp builds its
-    # states from
-    import mpmath as mp
-    from openxxz import mpref
-
-    params = random_params(N, seed=3)
-    gauge = solve_gauge(params.boundary_plus, 1, 1, params.eta)
-    eta, beta, xi1 = params.eta, gauge.beta, params.xi[0]
-
-    def close(got, ref):
-        got = np.asarray(got, dtype=complex)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-    with mp.workdps(mpref.DPS):
-        model = mpref._MpModel(params, gauge)
-        for name, label, lam in (("A", beta - 1, 0.53 + 0.11j), ("D", beta + 1, 0.53 + 0.11j),
-                                 ("A", beta - 1, eta / 2 - xi1), ("D", beta + 1, xi1 + eta / 2)):
-            got = model.u_tilde_block(name, mp.mpc(lam), mp.mpc(label))
-            close(got, getattr(u_tilde(lam, params, label, gauge.alpha), name))
-        close(model.s_chain(model.beta), s_chain(params, beta, gauge.alpha))

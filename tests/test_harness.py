@@ -191,10 +191,18 @@ def test_cli_exit_codes(tmp_path):
 
 
 def test_cli_homog_without_oracle_fails(capsys):
-    # no dense oracle past N = 3: every row is unchecked, which is no pass
-    code = main(["homog", "--sites", "4", "--seed", "13", "--epsilons", "1e-1"])
-    assert code == 1
-    assert "unchecked" in capsys.readouterr().err
+    # at xi = 0 the referee divides by V(xi) = 0: the row is unchecked, which
+    # is no pass, and its exception goes to stderr in place of a traceback
+    for sites in ("3", "4"):
+        code = main(["homog", "--sites", sites, "--seed", "13", "--epsilons", "0"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "unchecked" in err and "ZeroDivisionError" in err
+
+
+def test_cli_homog_checks_past_three_sites():
+    for sites in ("4", "7"):
+        assert main(["homog", "--sites", sites, "--seed", "13"]) == 0
 
 
 def test_cli_explicit_model(tmp_path):

@@ -13,8 +13,6 @@ TEST_ONLY = {
     "app_c_product": "sov",
     "bethe_form_state": "scalar",
     "u_weight_product_form": "sov",
-    "virf_bulk_residual": "gauge",
-    "virf_mhat_residual": "gauge",
 }
 
 

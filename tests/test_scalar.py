@@ -440,10 +440,9 @@ def test_eps_covariance_of_eigenstates(onshell4):
 
 
 def test_homogeneous_limit_stability():
-    # thm52 stays exact as xi -> 0 while the raw SoV determinant and the
-    # double-precision dense contraction lose digits; the reference column
-    # is the extended-precision dense oracle
-    from openxxz.mpref import sp_direct_mp
+    # thm52 stays exact as xi -> 0 while the double-precision SoV determinant
+    # loses digits; the reference column is the extended-precision one
+    from openxxz.mpref import sp_sov_mp
 
     base = random_params(3, seed=13)
     gauge = solve_gauge(base.boundary_plus, 1, 1, base.eta)
@@ -454,7 +453,7 @@ def test_homogeneous_limit_stability():
     t_diffs, s_diffs, values = [], [], []
     for epsv in (1e-1, 1e-2, 1e-3):
         params = base.with_xi(tuple(epsv * (j + 1) for j in range(3)))
-        d = sp_direct_mp(qs, ps, params, gauge)
+        d = sp_sov_mp(qs, ps, params, gauge)
         t, _ = sp_thm52(qs, ps, params, gauge)
         s = sp_sov(qs, ps, params, gauge)
         t_diffs.append(abs(t - d) / abs(d))
@@ -465,6 +464,45 @@ def test_homogeneous_limit_stability():
     assert s_diffs[0] < s_diffs[1] < s_diffs[2]
     # values are Cauchy across the decades
     assert abs(values[2] - values[1]) < abs(values[1] - values[0])
+
+
+@pytest.mark.parametrize("N", range(1, 8))
+def test_sp_sov_mp_matches_sp_sov(N):
+    # the extended-precision SoV determinant against the double one, on
+    # same- and mixed-branch pairs at total degree N
+    from openxxz.mpref import sp_sov_mp
+
+    for seed in (0, 1):
+        params = random_params(N, seed=seed)
+        gauge = _gauge(params)
+        q, p = poly_pair(N, rng_for(seed, "referee"))
+        for eps_p in (E0, E1):
+            qs = SeparateStateSpec(q, E0, "left")
+            ps = SeparateStateSpec(p, eps_p, "right")
+            ref = sp_sov_mp(qs, ps, params, gauge)
+            assert abs(sp_sov(qs, ps, params, gauge) - ref) < 1e-10 * abs(ref)
+
+
+def test_sp_sov_mp_precision_follows_the_cancellation():
+    # at xi_j = 1e-5 j the N = 5 SoV matrix cancels through nearly DPS
+    # digits, so a DPS-digit value is far off; the doubling must reach the
+    # value of a 400-digit evaluation
+    import mpmath as mp
+    from openxxz import mpref
+
+    base = random_params(5, seed=13)
+    gauge = _gauge(base)
+    params = base.with_xi(tuple(1e-5 * (j + 1) for j in range(5)))
+    q, p = poly_pair(5, rng_for(13, "homog"))
+    qs, ps = SeparateStateSpec(q, E0, "left"), SeparateStateSpec(p, E0, "right")
+
+    def at(dps):
+        with mp.workdps(dps):
+            return complex(mpref._sov_det(mpref._MpModel(params, gauge), qs, ps))
+
+    ref = at(400)
+    assert abs(at(mpref.DPS) - ref) > 1e-6 * abs(ref)
+    assert abs(mpref.sp_sov_mp(qs, ps, params, gauge) - ref) < 1e-15 * abs(ref)
 
 
 def test_degree_zero_states(chain3):

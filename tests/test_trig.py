@@ -140,6 +140,10 @@ def test_trigpoly_keeps_clongdouble():
             [varsigma(rk) - varsigma(r) for j, r in enumerate(roots) if j != k])
         assert type(q.deriv(rk)) is ld
         assert abs(q.deriv(rk) - expected) < 1e-17 * abs(expected)
+    # a complex array of lam widens to the roots' dtype, as a complex scalar does
+    lams = np.array([0.77 - 0.35j, 0.41 + 0.2j])
+    assert np.array_equal(q.deriv(lams), np.array([q.deriv(x) for x in lams]))
+    assert q.deriv(lams).dtype == ld
     plain = TrigPoly(roots=tuple(complex(r) for r in roots))
     assert all(type(r) is complex for r in plain.roots)
     assert not isinstance(plain(complex(lam)), ld)
