@@ -61,8 +61,6 @@ def load_config(path, overrides) -> RunConfig:
     if seed is None:
         seed = int(os.environ.get("OPENXXZ_SEED", data.get("seed", 0)))
     n_sites = overrides.get("n_sites") or data.get("n_sites", 3)
-    if params is not None:
-        n_sites = params.N
     suites = overrides.get("suites") or tuple(data.get("suites", SUITE_ORDER))
     return RunConfig(
         n_sites=int(n_sites),

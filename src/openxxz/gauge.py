@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trig import ModelParams, BoundaryParams, dist_to_ipi_lattice
+from .trig import DELTA_MIN, ModelParams, BoundaryParams, dist_to_ipi_lattice
 from .lattice import (
     PERM4,
     AuxOp,
@@ -293,7 +293,7 @@ def solve_gauge(boundary_plus: BoundaryParams, eps_plus: int, eps_plus_prime: in
 def gauge_is_safe(gauge: GaugeParams, params: ModelParams) -> bool:
     """No dynamical pole sinh(eta(beta+k)) ~ 0 for the shifts this chain uses."""
     for k in range(-params.N - 2, params.N + 3):
-        if dist_to_ipi_lattice(params.eta * (gauge.beta + k)) < params.delta_min:
+        if dist_to_ipi_lattice(params.eta * (gauge.beta + k)) < DELTA_MIN:
             return False
     return True
 

@@ -65,12 +65,9 @@ class _MpModel:
     def g_minus(self, lam, eps: EpsChoice):
         u = lam - self.eta / 2
         ep = self.eps_plus
-        val = ep * eps.a_plus * (-1) ** self.N \
-            * mp.sinh(u + eps.a_minus * self.am_) * mp.cosh(u + eps.b_minus * self.bm_) \
-            / (mp.sinh(eps.a_minus * self.am_) * mp.cosh(eps.b_minus * self.bm_)) \
-            * mp.sinh(u + eps.a_plus * self.ap_) * mp.cosh(u - eps.b_plus * self.bp_) \
+        return self.a_eps_small(lam, eps) * ep * eps.a_plus * (-1) ** self.N \
+            * mp.sinh(eps.a_plus * self.ap_) * mp.cosh(eps.b_plus * self.bp_) \
             / (mp.sinh(u + ep * self.ap_) * mp.cosh(u - ep * self.bp_))
-        return val
 
     def a_eps_small(self, lam, eps: EpsChoice):
         u = lam - self.eta / 2
@@ -86,11 +83,14 @@ class _MpModel:
                        - mp.exp(self.sm))
 
     def norm_const(self, eps: EpsChoice):
+        """The Gram constant without its ratio of shifted-grid Vandermondes,
+        which the SoV determinant's prefactor cancels exactly."""
         N = self.N
         v = self.vdm(self.xi)
-        v0 = self.vdm([self.xi_shift(n, 0) for n in range(1, N + 1)])
-        v1 = self.vdm([self.xi_shift(n, 1) for n in range(1, N + 1)])
-        out = (-1) ** N * v * v0 / v1
+        if v == 0:
+            raise ZeroDivisionError("the Gram constant vanishes: Vhat(xi) = 0, "
+                                    "the inhomogeneities coincide")
+        out = (-1) ** N * v
         for j in range(1, N + 1):
             lam = self.eta / 2 - self.xi[j - 1]
             lbl = self.beta + 1 + N - 2 * j
@@ -107,8 +107,9 @@ DOUBLINGS = 5
 
 
 def _sov_det(model: _MpModel, q_spec, p_spec):
-    """det(sov_matrix) V(xi^(0)) / (V(xi^(1)) norm), as scalar.sp_sov takes
-    it, at the working precision."""
+    """det(sov_matrix) / norm at the working precision: the value
+    scalar.sp_sov takes, whose shifted-grid Vandermonde prefactor cancels
+    against the one in the Gram constant, so neither is formed."""
     N = model.N
     grid = [(model.xi_shift(n, 0), model.xi_shift(n, 1)) for n in range(1, N + 1)]
     mat = mp.matrix(N, N)
@@ -119,9 +120,7 @@ def _sov_det(model: _MpModel, q_spec, p_spec):
         w1 = -ratio * model.poly(p_spec.poly, x1) * model.poly(q_spec.poly, x1)
         for j in range(N):
             mat[i, j] = w0 * model.vs(x1) ** j + w1 * model.vs(x0) ** j
-    v0 = model.vdm([x0 for x0, _ in grid])
-    v1 = model.vdm([x1 for _, x1 in grid])
-    return mp.det(mat) * v0 / (v1 * model.norm_const(p_spec.eps))
+    return mp.det(mat) / model.norm_const(p_spec.eps)
 
 
 def sp_sov_mp(q_spec, p_spec, params: ModelParams, gauge: GaugeParams) -> complex:

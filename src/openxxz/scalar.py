@@ -4,6 +4,8 @@ Four routes to the same number: the dense contraction oracle, the SoV
 dressed-Vandermonde determinant, the exchanged-variable determinant that is
 regular in the homogeneous limit, and (on-shell) the Slavnov / Gaudin
 jacobian forms with their rank-one-corrected rectangular generalization.
+The normalization factors they share (the Gram constant, z_beta and g_-)
+come from ``sov``.
 """
 
 from __future__ import annotations
@@ -15,18 +17,17 @@ import numpy as np
 
 from .trig import ModelParams, TrigPoly, bulk_ad, varsigma, vdm_hat
 from .lattice import det_scaled
-from .gauge import GaugeParams, bcoef_minus
+from .gauge import GaugeParams
 from .sov import (
     EpsChoice,
     SovBasis,
-    a_eps_small,
     big_a_eps,
     big_a_eps_logderiv,
+    branch_ratio,
     g_minus,
-    raw_states,
     sov_norm_const,
     sov_state,
-    sov_weights,
+    z_beta,
 )
 from .detid import (a_functional_values, correction_column, functional_matrix, g_family,
                     x_weights)
@@ -73,11 +74,8 @@ def sov_matrix(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
     with r_i = a_{eps_P}(xi_i + eta/2) / a_{-eps_Q}(xi_i + eta/2).
     """
     grid = params.xi_grid()
-    lam0 = grid[:, 0]
-    ratio = a_eps_small(lam0, p_spec.eps, params) \
-        / a_eps_small(lam0, q_spec.eps.flipped(), params)
     w = p_spec.poly(grid)
-    w[:, 1] *= -ratio
+    w[:, 1] *= -branch_ratio(grid[:, 0], p_spec.eps, q_spec.eps, params)
     w *= q_spec.poly(grid)
     powers = varsigma(grid[:, ::-1])[:, :, None] ** np.arange(params.N)
     return w[:, 0, None] * powers[:, 0] + w[:, 1, None] * powers[:, 1]
@@ -136,16 +134,10 @@ def build_aset(eps: EpsChoice, eps_p: EpsChoice, params: ModelParams,
 def aset_ratio_residual(aset: ASet, eps: EpsChoice, eps_p: EpsChoice,
                         params: ModelParams) -> float:
     """Check of the product representation of the branch ratio at the grid."""
-    worst = 0.0
-    for n in range(1, params.N + 1):
-        xi = params.xi[n - 1]
-        lam0 = xi + params.eta / 2
-        direct = a_eps_small(lam0, eps_p, params) \
-            / a_eps_small(lam0, eps.flipped(), params)
-        prod = np.prod([np.sinh(xi + a) / np.sinh(xi - a) for a in aset.values]) \
-            if aset.values else 1.0
-        worst = max(worst, abs(direct - prod) / abs(direct))
-    return worst
+    xi = np.asarray(params.xi)
+    direct = branch_ratio(params.xi_grid()[:, 0], eps_p, eps, params)
+    prod = np.prod([np.sinh(xi + a) / np.sinh(xi - a) for a in aset.values], axis=0)
+    return float(np.max(np.abs(direct - prod) / np.abs(direct)))
 
 
 def f_eps(lam, aset: ASet, params: ModelParams):
@@ -176,16 +168,6 @@ def g_eps_handle(level: int, aset: ASet, params: ModelParams):
     g = g_family(lambda lam: prod_sinh * f_eps(lam, aset, params), params.xi_grid().ravel(),
                  aset.total, params.eta, level, params.N, params.N, radius=radius)
     return lambda lam: g(lam) / prod_sinh
-
-
-def z_beta(params: ModelParams, gauge: GaugeParams) -> complex:
-    out = 1.0 + 0j
-    N, eta = params.N, params.eta
-    for j in range(1, N + 1):
-        lbl = gauge.beta + 1 + N - 2 * j
-        out *= np.sinh(eta * (gauge.beta + N - j)) \
-            / (bcoef_minus(lbl, gauge, params) * np.sinh(eta * lbl))
-    return complex(out)
 
 
 def z_bar(aset: ASet, eps_p: EpsChoice, params: ModelParams,
@@ -380,55 +362,3 @@ def sp_slavnov_gen(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
     pref *= np.prod(qp / (np.sinh(2 * p + eta) * np.sinh(2 * p - eta))) \
         * np.prod(f_eps(-q, aset, params))
     return complex(pref * det_scaled(s_mat))
-
-
-# ---------------------------------------------------------------------------
-# Bethe-type operator form of the separate states (verification route).
-# ---------------------------------------------------------------------------
-
-def bethe_form_state(q_spec: SeparateStateSpec, basis: SovBasis) -> np.ndarray:
-    """Rebuild a separate state by dressed-B operator products on a reference.
-
-    On chains whose boundary satisfies the homogeneous-equation constraint the
-    reduced coefficient b_-(beta - N - 1) vanishes and the dressed B operators
-    degenerate to 0/0; the construction is only defined away from those zeros.
-    """
-    from .gauge import sos_apply, sos_factors
-
-    params, gauge = basis.params, basis.gauge
-    N, eta = params.N, params.eta
-    beta = gauge.beta
-    roots = list(q_spec.poly.roots)
-    m = len(roots)
-    for i in range(1, m + 1):
-        for lbl in (beta + 1 - 2 * i - N, beta - 1 + 2 * i + N):
-            if abs(bcoef_minus(lbl, gauge, params)) < 1e-10:
-                raise ValueError("dressed-B chain hits a zero of the reduced "
-                                 "b coefficient; Bethe form undefined here")
-    eps, side = q_spec.eps, q_spec.side
-    # reference at the shifted label, brought back by one dressed B per root
-    label = beta + 1 - 2 * m if side == "right" else beta - 1 + 2 * m
-    states = raw_states(params, gauge, side, label) * basis.scales(eps)[side][:, None]
-    w = sov_weights(np.ones((N, 2)), params, side, eps)
-    vec = w @ states / basis.norm_const(eps)
-
-    if side == "right":
-        for i in range(m - 1, -1, -1):
-            lam = roots[i]
-            lbl = beta + 1 - 2 * (i + 1)
-            b_op = sos_factors([lam], lbl, params, gauge, side)[0]
-            blam = np.exp(lam - eta / 2) * np.sinh(2 * lam - eta) \
-                * bcoef_minus(lbl - N, gauge, params)
-            coef = (-1) ** N / blam * np.sinh(eta * lbl) / np.sinh(eta * (lbl - N))
-            vec = coef * sos_apply(vec[None], b_op, "B")[0]
-        return basis.ungauge(vec, side)
-
-    for i in range(m - 1, -1, -1):
-        lam = roots[i]
-        lbl = beta - 1 + 2 * (i + 1)
-        b_op = sos_factors([lam], lbl, params, gauge, side)[0]
-        blam = np.exp(lam - eta / 2) * np.sinh(2 * lam - eta) \
-            * bcoef_minus(lbl + N, gauge, params)
-        coef = (-1) ** N / blam * np.sinh(eta * (lbl + N - 1)) / np.sinh(eta * (lbl - 1))
-        vec = coef * sos_apply(vec[None], b_op, "B")[0]
-    return basis.ungauge(vec, side)

@@ -100,18 +100,26 @@ def big_a_eps_logderiv(lam, eps: EpsChoice, params: ModelParams) -> complex:
     return complex(total)
 
 
-def g_minus(lam, eps: EpsChoice, gauge: GaugeParams, params: ModelParams) -> complex:
-    """Normalization function of the SoV states for the given sign branch."""
-    bp, bm = params.boundary_plus, params.boundary_minus
-    eta = params.eta
-    u = lam - eta / 2
+def branch_ratio(lam, eps_p: EpsChoice, eps: EpsChoice, params: ModelParams):
+    """a_{eps'}(lam) / a_{-eps}(lam), the boundary ratio of two sign branches.
+
+    Elementwise in lam: a scalar or a numpy array of points.
+    """
+    return a_eps_small(lam, eps_p, params) / a_eps_small(lam, eps.flipped(), params)
+
+
+def g_minus(lam, eps: EpsChoice, gauge: GaugeParams, params: ModelParams):
+    """Normalization function of the SoV states for the given sign branch.
+
+    a_eps(lam) with its two + boundary factors divided by their values at the
+    gauge branch eps_+ in place of their values at u = 0.  Elementwise in lam.
+    """
+    bp = params.boundary_plus
+    u = lam - params.eta / 2
     ep = gauge.eps_plus
-    val = ep * eps.a_plus * (-1) ** params.N \
-        * np.sinh(u + eps.a_minus * bm.alpha) * np.cosh(u + eps.b_minus * bm.beta) \
-        / (np.sinh(eps.a_minus * bm.alpha) * np.cosh(eps.b_minus * bm.beta)) \
-        * np.sinh(u + eps.a_plus * bp.alpha) * np.cosh(u - eps.b_plus * bp.beta) \
+    return a_eps_small(lam, eps, params) * ep * eps.a_plus * (-1) ** params.N \
+        * np.sinh(eps.a_plus * bp.alpha) * np.cosh(eps.b_plus * bp.beta) \
         / (np.sinh(u + ep * bp.alpha) * np.cosh(u - ep * bp.beta))
-    return complex(val)
 
 
 def a_minus_norm(lam, eps: EpsChoice, gauge: GaugeParams, params: ModelParams) -> complex:
@@ -154,22 +162,9 @@ def u_weight(n: int, params: ModelParams) -> complex:
                    * (a_p * d_m) / (a_m * d_p))
 
 
-def u_weight_product_form(n: int, params: ModelParams) -> complex:
-    eta = params.eta
-    xn = params.xi[n - 1]
-    out = -1.0 + 0j
-    for j, xj in enumerate(params.xi, start=1):
-        if j == n:
-            continue
-        out *= np.sinh(xn - xj + eta) * np.sinh(xn + xj + eta) \
-            / (np.sinh(xn + xj - eta) * np.sinh(xn - xj - eta))
-    return complex(out)
-
-
 def v_weight(n: int, eps: EpsChoice, params: ModelParams) -> complex:
     """v_{n,eps} = a_eps(xi_n + eta/2) / a_{-eps}(xi_n + eta/2)."""
-    lam = params.xi[n - 1] + params.eta / 2
-    return a_eps_small(lam, eps, params) / a_eps_small(lam, eps.flipped(), params)
+    return branch_ratio(params.xi[n - 1] + params.eta / 2, eps, eps, params)
 
 
 def _bits(N: int) -> np.ndarray:
@@ -359,42 +354,40 @@ def sov_state(qtab, basis: SovBasis, side: str, eps: EpsChoice,
     return basis.ungauge(qprod @ basis.dressed_states(side, eps, bis), side)
 
 
+def label_product(label, gauge: GaugeParams, params: ModelParams) -> complex:
+    """prod_j b_-(l_j) sinh(eta l_j) / sinh(eta (l_j + j - 1)), l_j = label + N + 1 - 2j.
+
+    The B^SOS label part of the Gram constant (at label beta) and of the
+    A^SOS reference element (at label + 1).  It does not read xi, so it stays
+    finite at the homogeneous point.
+    """
+    N, eta = params.N, params.eta
+    out = 1.0 + 0j
+    for j in range(1, N + 1):
+        lbl = label + N + 1 - 2 * j
+        out *= bcoef_minus(lbl, gauge, params) * np.sinh(eta * lbl) \
+            / np.sinh(eta * (lbl + j - 1))
+    return complex(out)
+
+
 @functools.lru_cache
 def sov_norm_const(params: ModelParams, gauge: GaugeParams, eps: EpsChoice) -> complex:
-    """Closed product form of the Gram normalization constant (cached)."""
-    N, eta = params.N, params.eta
-    beta = gauge.beta
-    xs = list(params.xi)
-    v = vdm_hat(xs)
+    """Closed product form of the Gram normalization constant (cached).
+
+    (-1)^N Vhat(xi) Vhat(xi^(0)) / Vhat(xi^(1)) label_product(beta)
+    prod_j e^{-xi_j} sinh(-2 xi_j) / g_-(eta/2 - xi_j).
+    """
+    xi = np.asarray(params.xi)
     grid = params.xi_grid()
-    out = (-1) ** N * v * vdm_hat(grid[:, 0]) / vdm_hat(grid[:, 1])
-    for j in range(1, N + 1):
-        lam = eta / 2 - xs[j - 1]
-        b_lam = np.exp(lam - eta / 2) * np.sinh(2 * lam - eta) \
-            * bcoef_minus(beta + 1 + N - 2 * j, gauge, params)
-        out *= b_lam / g_minus(lam, eps, gauge, params) \
-            * np.sinh(eta * (beta + 1 + N - 2 * j)) / np.sinh(eta * (beta + N - j))
+    g = g_minus(params.eta / 2 - xi, eps, gauge, params)
+    out = (-1) ** params.N * vdm_hat(xi) * vdm_hat(grid[:, 0]) / vdm_hat(grid[:, 1]) \
+        * label_product(gauge.beta, gauge, params) * np.prod(np.exp(-xi) * np.sinh(-2 * xi) / g)
     return complex(out)
 
 
-def app_c_product(params: ModelParams, gauge: GaugeParams, label) -> complex:
-    """Closed form of <0| prod_k A^SOS(eta/2 - xi_k | label) |0bar>."""
-    N, eta = params.N, params.eta
-    out = (-1.0 + 0j) ** N
-    for r in range(N):
-        lam = eta / 2 - params.xi[r]
-        b_lam = np.exp(lam - eta / 2) * np.sinh(2 * lam - eta) \
-            * bcoef_minus(label + N - 2 * r, gauge, params)
-        out *= b_lam * np.sinh((label + N - 2 * r) * eta) / np.sinh((label + N - r) * eta)
-    for j in range(N):
-        a, _ = bulk_ad(eta / 2 - params.xi[j], params)
-        _, d = bulk_ad(params.xi[j] - eta / 2, params)
-        out *= a * d
-    for j in range(N):
-        for k in range(j + 1, N):
-            out *= np.sinh(params.xi[j] + params.xi[k]) \
-                / np.sinh(params.xi[j] + params.xi[k] - eta)
-    return complex(out)
+def z_beta(params: ModelParams, gauge: GaugeParams) -> complex:
+    """The label factor z_beta = 1 / label_product(beta) of the exchanged form."""
+    return 1 / label_product(gauge.beta, gauge, params)
 
 
 def gram_matrix(basis: SovBasis, eps: EpsChoice) -> np.ndarray:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .trig import (
+    DELTA_MIN,
     ModelParams,
     TrigPoly,
     bulk_ad,
@@ -157,31 +158,20 @@ def verify_tau(taus, params: ModelParams, eps: EpsChoice):
     return out
 
 
-@functools.lru_cache
-def _q_grid(params: ModelParams, eps: EpsChoice):
-    """The shifted grid rows x^0, x^1 with A(x^0) and A(-x^1), read-only,
-    shared by ``q_discrete`` over every eigenvalue of one chain and branch."""
+def q_discrete(tau: TauPoly, params: ModelParams, eps: EpsChoice) -> np.ndarray:
+    """Values of Q on the shifted-inhomogeneity grid, normalized per site.
+
+    Row n - 1 holds Q(xi_n^(0)) = 1 and Q(xi_n^(1)): the table sov_state reads.
+    """
     x0, x1 = params.xi_grid().T
-    out = (x0, x1, big_a_eps(x0, eps, params), big_a_eps(-x1, eps, params))
-    for arr in out:
-        arr.setflags(write=False)
-    return out
-
-
-def q_discrete(tau: TauPoly, params: ModelParams, eps: EpsChoice):
-    """Values of Q on the shifted-inhomogeneity grid, normalized per site."""
-    x0, x1, a0, a1 = _q_grid(params, eps)
+    a0, a1 = big_a_eps(x0, eps, params), big_a_eps(-x1, eps, params)
     if np.any(np.abs(a0) < 1e-13):
         raise ValueError("vanishing normalization function on the grid")
     ratio = tau(x0) / a0
     alt = a1 / tau(x1)
     if np.any(np.abs(ratio - alt) > 1e-9 * np.maximum(np.abs(alt), 1.0)):
         raise ValueError("inconsistent discrete Q ratio; non-generic parameters")
-    out = {}
-    for n in range(1, params.N + 1):
-        out[(n, 0)] = 1.0 + 0j
-        out[(n, 1)] = ratio[n - 1]
-    return out
+    return np.stack([np.ones_like(ratio), ratio], axis=1)
 
 
 def sov_eigenvector(tau: TauPoly, basis: SovBasis, eps: EpsChoice, side: str = "right",
@@ -189,8 +179,7 @@ def sov_eigenvector(tau: TauPoly, basis: SovBasis, eps: EpsChoice, side: str = "
     """Assemble the SoV eigenvector for one eigenvalue polynomial on the chain of ``basis``."""
     if qvals is None:
         qvals = q_discrete(tau, basis.params, eps)
-    qtab = [[qvals[(n, b)] for b in (0, 1)] for n in range(1, basis.params.N + 1)]
-    out = sov_state(qtab, basis, side, eps)
+    out = sov_state(qvals, basis, side, eps)
     if np.max(np.abs(out)) < 1e-13:
         raise ValueError("zero SoV eigenvector: inadmissible tau")
     return out
@@ -261,7 +250,7 @@ def constrain_boundary(r: int, eps: EpsChoice, params: ModelParams,
 
     for cand in candidates():
         if abs(f_frak(r, eps, cand)) < 1e-12 \
-                and cond3bis_margin(cand, eps_plus) > params.delta_min:
+                and cond3bis_margin(cand, eps_plus) > DELTA_MIN:
             return cand
     raise ValueError("could not constrain the boundary at this degree "
                      "without degenerating the basis")

@@ -109,8 +109,10 @@ class RunConfig:
     identity_instances: int = 25
 
     def __post_init__(self):
+        if self.params is not None:
+            self.n_sites = self.params.N
         if self.n_sites < 1 or self.n_sites > 7:
-            raise ValueError("n_sites must lie in 1..7")
+            raise ValueError(f"n_sites must lie in 1..7, got {self.n_sites}")
         bad = [s for s in self.suites if s not in SUITE_ORDER]
         if bad:
             raise ValueError(f"unknown suites: {bad}")

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-# Default separation (in the varsigma metric / from the lattice i*pi*Z) below
-# which parameter sets are considered degenerate.
+# Separation (in the varsigma metric / from the lattice i*pi*Z) below which
+# parameter sets are considered degenerate.
 DELTA_MIN = 1e-2
 
 # Collision threshold for varsigma values of polynomial roots.
@@ -110,7 +110,6 @@ class ModelParams:
     xi: tuple
     boundary_minus: BoundaryParams
     boundary_plus: BoundaryParams
-    delta_min: float = DELTA_MIN
 
     def __post_init__(self):
         object.__setattr__(self, "xi", tuple(complex(x) for x in self.xi))
@@ -139,9 +138,9 @@ class ModelParams:
         return float(margin)
 
     def is_generic(self) -> bool:
-        if dist_to_ipi_lattice(self.eta) < self.delta_min:
+        if dist_to_ipi_lattice(self.eta) < DELTA_MIN:
             return False
-        return self.genericity_margin() > self.delta_min
+        return self.genericity_margin() > DELTA_MIN
 
     def with_xi(self, xi) -> "ModelParams":
         return replace(self, xi=tuple(complex(x) for x in xi))
@@ -229,14 +228,13 @@ def rng_for(seed: int, *names) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def random_xi(N: int, rng: np.random.Generator, eta, delta_min: float = DELTA_MIN):
+def random_xi(N: int, rng: np.random.Generator, eta):
     """Draw inhomogeneities from [0.1, 1.5] + i[-0.2, 0.2] until generic."""
     for _ in range(200):
         xi = rng.uniform(0.1, 1.5, N) + 1j * rng.uniform(-0.2, 0.2, N)
         probe = ModelParams(N=N, eta=eta, xi=tuple(xi),
-                            boundary_minus=_FREE_BOUNDARY, boundary_plus=_FREE_BOUNDARY,
-                            delta_min=delta_min)
-        if probe.genericity_margin() > delta_min:
+                            boundary_minus=_FREE_BOUNDARY, boundary_plus=_FREE_BOUNDARY)
+        if probe.genericity_margin() > DELTA_MIN:
             return tuple(complex(x) for x in xi)
     raise RuntimeError("could not sample generic inhomogeneities")
 
@@ -249,20 +247,18 @@ def random_boundary(rng: np.random.Generator) -> BoundaryParams:
     return reparam_boundary(sigma, kappa, tau)
 
 
-def random_params(N: int, seed: int = 0, *names, eta=None,
-                  delta_min: float = DELTA_MIN) -> ModelParams:
+def random_params(N: int, seed: int = 0, *names, eta=None) -> ModelParams:
     """Seeded generic parameter set for an N-site chain."""
     rng = rng_for(seed, "params", N, *names)
     if eta is None:
         eta = complex(rng.uniform(0.5, 0.9) + 1j * rng.uniform(-0.25, 0.25))
     for _ in range(100):
-        xi = random_xi(N, rng, eta, delta_min)
+        xi = random_xi(N, rng, eta)
         bm = random_boundary(rng)
         bp = random_boundary(rng)
-        params = ModelParams(N=N, eta=eta, xi=xi, boundary_minus=bm,
-                             boundary_plus=bp, delta_min=delta_min)
-        if params.is_generic() and abs(np.sinh(bm.sigma)) > delta_min \
-                and abs(np.sinh(bp.sigma)) > delta_min:
+        params = ModelParams(N=N, eta=eta, xi=xi, boundary_minus=bm, boundary_plus=bp)
+        if params.is_generic() and abs(np.sinh(bm.sigma)) > DELTA_MIN \
+                and abs(np.sinh(bp.sigma)) > DELTA_MIN:
             return params
     raise RuntimeError("could not sample a generic parameter set")
 

@@ -110,6 +110,10 @@ def test_run_config_validation():
         RunConfig(suites=("nonsense",))
     with pytest.raises(ValueError):
         RunConfig(tolerances={"lattice": -1.0})
+    # an explicit model sets N, and the 1..7 cap applies to it
+    assert RunConfig(n_sites=3, params=random_params(2, seed=5)).n_sites == 2
+    with pytest.raises(ValueError, match="1..7"):
+        RunConfig(n_sites=3, params=random_params(10))
 
 
 def test_run_suite_detid_isolated():
@@ -191,13 +195,15 @@ def test_cli_exit_codes(tmp_path):
 
 
 def test_cli_homog_without_oracle_fails(capsys):
-    # at xi = 0 the referee divides by V(xi) = 0: the row is unchecked, which
-    # is no pass, and its exception goes to stderr in place of a traceback
+    # at xi = 0 the referee's Gram constant vanishes with V(xi): the row is
+    # unchecked, which is no pass, and its exception goes to stderr, naming
+    # the cause, in place of a traceback
     for sites in ("3", "4"):
         code = main(["homog", "--sites", sites, "--seed", "13", "--epsilons", "0"])
         err = capsys.readouterr().err
         assert code == 1
         assert "unchecked" in err and "ZeroDivisionError" in err
+        assert "Vhat(xi) = 0, the inhomogeneities coincide" in err
 
 
 def test_cli_homog_checks_past_three_sites():
@@ -206,11 +212,16 @@ def test_cli_homog_checks_past_three_sites():
 
 
 def test_cli_explicit_model(tmp_path):
-    p = random_params(2, seed=5)
+    for n_sites, expected in ((2, 0), (8, 2)):
+        assert _verify_model(tmp_path, random_params(n_sites, seed=5)) == expected
+
+
+def _verify_model(tmp_path, p):
+    """Exit code of the lattice suite on an explicit model written as JSON."""
     cfg = tmp_path / "model.json"
     cfg.write_text(json.dumps({
         "model": {
-            "n_sites": 2,
+            "n_sites": p.N,
             "eta": [p.eta.real, p.eta.imag],
             "xi": [[x.real, x.imag] for x in p.xi],
             "boundary_minus": {
@@ -222,8 +233,7 @@ def test_cli_explicit_model(tmp_path):
                 "beta": [p.boundary_plus.beta.real, p.boundary_plus.beta.imag],
                 "tau": [p.boundary_plus.tau.real, p.boundary_plus.tau.imag]},
         }}))
-    code = main(["verify", "--suite", "lattice", "--config", str(cfg)])
-    assert code == 0
+    return main(["verify", "--suite", "lattice", "--config", str(cfg)])
 
 
 def test_boundary_alpha_beta_round_trip():

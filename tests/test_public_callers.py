@@ -6,16 +6,6 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "openxxz"
 
-# Public functions that only the tests call today.  Each one should gain a
-# caller (a suite that reports it) or move into tests/; this set may only
-# shrink, and the test fails on an entry that has gained a caller.
-TEST_ONLY = {
-    "app_c_product": "sov",
-    "bethe_form_state": "scalar",
-    "u_weight_product_form": "sov",
-}
-
-
 def public_functions(path: pathlib.Path) -> set:
     """Names of the module-level functions of path that do not start with _."""
     tree = ast.parse(path.read_text())
@@ -50,7 +40,7 @@ def uncalled(package: pathlib.Path, callers) -> dict:
 
 def test_every_public_function_has_a_caller():
     callers = [p for d in ("src", "bench", "demos") for p in (ROOT / d).rglob("*.py")]
-    assert uncalled(PACKAGE, callers) == TEST_ONLY
+    assert uncalled(PACKAGE, callers) == {}
 
 
 def test_caller_check_finds_an_uncalled_function(tmp_path):

@@ -15,7 +15,6 @@ from openxxz.suites import _gauge
 from openxxz.scalar import (
     SeparateStateSpec,
     aset_ratio_residual,
-    bethe_form_state,
     build_aset,
     f_eps,
     g_eps_handle,
@@ -29,6 +28,7 @@ from openxxz.scalar import (
     sp_thm52,
     sov_matrix,
 )
+from sov_helpers import bethe_form_state
 from tq_helpers import slavnov_matrix, tq_ratio
 
 E0 = EpsChoice(1, 1, 1, 1)

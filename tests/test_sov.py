@@ -11,7 +11,6 @@ from openxxz.sov import (
     a_eps_small,
     a_minus_norm,
     all_h,
-    app_c_product,
     big_a_eps,
     big_a_eps_logderiv,
     g_minus,
@@ -22,10 +21,10 @@ from openxxz.sov import (
     sov_state,
     sov_weights,
     u_weight,
-    u_weight_product_form,
     v_weight,
     verify_sov_actions,
 )
+from sov_helpers import app_c_product, u_weight_product_form
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,6 @@ from openxxz.spectrum import (
     QSolution,
     TauPoly,
     _collocation_points,
-    _q_grid,
     _tq_grid,
     big_f_eps,
     brute_spectrum,
@@ -121,8 +120,7 @@ def test_q_discrete_two_ratio_forms(setup3):
     params, _, taus = setup3
     for tau in taus[:4]:
         qd = q_discrete(tau, params, EPS0)
-        for n in range(1, params.N + 1):
-            assert qd[(n, 0)] == 1
+        assert qd.shape == (params.N, 2) and np.all(qd[:, 0] == 1)
 
 
 def test_sov_eigenvectors(setup3):
@@ -156,7 +154,8 @@ def test_q_rescaling_changes_eigenvector_by_scalar(setup3):
     tau = taus[1]
     qd = q_discrete(tau, params, EPS0)
     v1 = sov_eigenvector(tau, basis, EPS0, "right", qvals=qd)
-    qd2 = {k: 2.5 * v if k[0] == 2 else v for k, v in qd.items()}
+    qd2 = qd.copy()
+    qd2[1] *= 2.5
     v2 = sov_eigenvector(tau, basis, EPS0, "right", qvals=qd2)
     ratios = v2[np.abs(v1) > 1e-8] / v1[np.abs(v1) > 1e-8]
     assert np.max(np.abs(ratios - ratios[0])) < 1e-9 * abs(ratios[0])
@@ -418,14 +417,12 @@ def test_tq_grid_built_once_per_model_branch_mode_and_degree(setup3):
 
 def test_q_discrete_reads_one_grid_per_branch(setup3):
     params, _, taus = setup3
-    _q_grid.cache_clear()
     x0, x1 = params.xi_grid().T
     for eps in (EPS0, EPS0.flipped()):
         for tau in taus:
             qd = q_discrete(tau, params, eps)
             ratio = tau(x0) / big_a_eps(x0, eps, params)
-            assert [qd[(n, 1)] for n in range(1, params.N + 1)] == list(ratio)
-    assert _q_grid.cache_info().misses == 2
+            assert np.array_equal(qd[:, 1], ratio)
     # the consistency check still runs on every call
     bad = replace(taus[0], coeffs=tuple(np.array(taus[0].coeffs) * (1 + 1e-6)))
     with pytest.raises(ValueError, match="inconsistent"):
@@ -434,7 +431,6 @@ def test_q_discrete_reads_one_grid_per_branch(setup3):
 
 def test_cached_grids_are_read_only(setup3):
     params, _, _ = setup3
-    tables = _tq_grid(params, EPS0, True, params.N) + _q_grid(params, EPS0)
-    for arr in tables:
+    for arr in _tq_grid(params, EPS0, True, params.N):
         with pytest.raises(ValueError):
             arr[0] = 0
