@@ -22,6 +22,7 @@ from .lattice import (
     PERM4,
     AuxOp,
     ID2,
+    apply_boundary,
     apply_local,
     kmat_minus,
     kmat_plus,
@@ -174,7 +175,8 @@ def sos_apply(vecs, factors, name=None) -> np.ndarray:
     (rows, 2 * 2^N)) come back as vecs @ U^SOS on the left side and as
     (U^SOS @ vecs^T)^T on the right side.  With a block name, vecs is a
     (rows, 2^N) stack and only that block X acts: vecs @ X on the left,
-    (X @ vecs^T)^T on the right.  No 2^N x 2^N matrix is formed.
+    (X @ vecs^T)^T on the right.  The factors run through
+    ``lattice.apply_boundary``, the kernel of the vertex U_- as well.
     """
     side, pre, k, post = factors
     if name is not None:
@@ -184,12 +186,7 @@ def sos_apply(vecs, factors, name=None) -> np.ndarray:
         full = np.zeros((rows, 2 * dim), dtype=np.result_type(vecs, complex))
         full[:, a * dim:(a + 1) * dim] = vecs
         return sos_apply(full, factors)[:, b * dim:(b + 1) * dim]
-    for n in range(len(pre), 0, -1):
-        vecs = apply_local(vecs, pre[n - 1], n)
-    vecs = np.einsum("rci,icd->rdi", vecs.reshape(len(vecs), 2, -1), k).reshape(len(vecs), -1)
-    for n in range(1, len(post) + 1):
-        vecs = apply_local(vecs, post[n - 1], n)
-    return vecs
+    return apply_boundary(vecs, pre, k, post)
 
 
 def sos_block(name: str, lam, label, params: ModelParams, gauge: GaugeParams) -> np.ndarray:

@@ -3,6 +3,14 @@
 Operators live on aux (x) H with the auxiliary space leftmost and site 1 as
 the most significant qubit of the 2^N quantum factor.  Operator-valued 2x2
 auxiliary structure is kept explicit through :class:`AuxOp`.
+
+Every factor of a monodromy is local to one site and applied in place by
+:func:`apply_local`.  The boundary monodromy U_-(lam) = M K_- Mhat and the
+transfer matrix tr_0 K_+ U_- are built on the identity rows of aux (x) H by
+:func:`apply_boundary`, one local factor at a time, the kernel the SOS
+boundary monodromy of :mod:`openxxz.gauge` runs as well.  ``bulk_monodromy``,
+``mhat``, ``u_plus`` and ``transfer_alt`` stay on dense :class:`AuxOp`
+products: they are the independent second trace form.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ ID2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+_SY0 = np.kron(SY, ID2)  # sigma^y on the aux leg of aux (x) site
 TRANSFER_STEP = 1e-5  # finite-difference step of the Hamiltonian from the transfer matrix
 
 
@@ -115,26 +124,53 @@ def apply_local(op, factor, n: int):
     the operand order ``np.einsum(..., optimize=True)`` uses for the same
     contraction; the tests pin the two to the last bit.
     """
-    aux = isinstance(op, AuxOp)
-    mat = op.full() if aux else op
+    if isinstance(op, AuxOp):
+        return AuxOp.from_full(_apply_local_rows(op.full(), factor, n))
+    return _apply_local_rows(op, factor, n)
+
+
+def _apply_local_rows(mat, factor, n: int) -> np.ndarray:
+    """The body of :func:`apply_local` on a plain stack of rows."""
     rows, cols = mat.shape
     a = factor.shape[-1] // 2
     left = 2 ** (n - 1)
     right = cols // (2 * a * left)
     m = mat.reshape(rows, a, left, 2, right).transpose(4, 1, 3, 0, 2)
     out = np.swapaxes(factor, -1, -2) @ m.reshape(right, 2 * a, rows * left)
-    out = out.reshape(right, a, 2, rows, left).transpose(3, 1, 4, 2, 0).reshape(rows, cols)
-    return AuxOp.from_full(out) if aux else out
+    return out.reshape(right, a, 2, rows, left).transpose(3, 1, 4, 2, 0).reshape(rows, cols)
+
+
+def apply_boundary(vecs, pre, k, post) -> np.ndarray:
+    """vecs @ P_N ... P_1 K Q_1 ... Q_N on a stack of rows of aux (x) H.
+
+    The boundary-monodromy kernel of the vertex and the SOS sides.  ``pre``
+    and ``post`` hold the 4x4 factor (or per-configuration stack, see
+    :func:`apply_local`) of each site 1..N; the pre factors act at sites
+    N..1, then K on the auxiliary space only, then the post factors at sites
+    1..N.  K is one 2x2 matrix, or a stack of them, one per sigma^z
+    configuration of the chain in basis order.  Rows come back in the dtype
+    of the inputs; no 2^N x 2^N matrix is formed.
+    """
+    for n in range(len(pre), 0, -1):
+        vecs = _apply_local_rows(vecs, pre[n - 1], n)
+    rows = len(vecs)
+    vecs = vecs.reshape(rows, 2, -1)
+    k = np.broadcast_to(k, (vecs.shape[2], 2, 2))
+    vecs = np.einsum("rci,icd->rdi", vecs, k).reshape(rows, -1)
+    for n in range(1, len(post) + 1):
+        vecs = _apply_local_rows(vecs, post[n - 1], n)
+    return vecs
 
 
 def r6v(lam, eta) -> np.ndarray:
-    """Trigonometric 6-vertex R-matrix on C^2 (x) C^2."""
+    """Trigonometric 6-vertex R-matrix on C^2 (x) C^2, stacked over lam."""
     sl, se = np.sinh(lam), np.sinh(eta)
     sle = np.sinh(lam + eta)
-    return np.array([[sle, 0, 0, 0],
-                     [0, sl, se, 0],
-                     [0, se, sl, 0],
-                     [0, 0, 0, sle]], dtype=complex)
+    out = np.zeros(np.shape(lam) + (4, 4), dtype=complex)
+    out[..., 0, 0] = out[..., 3, 3] = sle
+    out[..., 1, 1] = out[..., 2, 2] = sl
+    out[..., 1, 2] = out[..., 2, 1] = se
+    return out
 
 
 def kmat_generic(lam, sigma, kappa, tau, eta) -> np.ndarray:
@@ -173,10 +209,28 @@ def mhat(lam, params: ModelParams) -> AuxOp:
     return (-1) ** params.N * m.left_scalar(SY).right_scalar(SY)
 
 
+def _u_minus_factors(lam, params: ModelParams):
+    """Factors of U_-(lam) for ``apply_boundary`` at each point of the 1-D array lam.
+
+    The pre factors are R_{0n}(lam - xi_n - eta/2), K is K_-(lam), and the
+    post factors sigma_0^y R_{0n}^{t0}(-lam - xi_n - eta/2) sigma_0^y are
+    those of Mhat(lam) up to its sign (-1)^N: the quantum parts of different
+    sites commute, so the aux transpose of M(-lam) is the product of the
+    transposed factors in reverse order.  Shapes (points, N, 4, 4) and
+    (points, 2, 2)."""
+    eta, xi = params.eta, np.asarray(params.xi)
+    pre = r6v(lam[:, None] - xi - eta / 2, eta)
+    r_hat = r6v(-lam[:, None] - xi - eta / 2, eta)
+    r_hat_t0 = r_hat.reshape(r_hat.shape[:2] + (2, 2, 2, 2)).swapaxes(2, 4).reshape(r_hat.shape)
+    return pre, kmat_minus(lam, params), _SY0 @ r_hat_t0 @ _SY0
+
+
 def u_minus(lam, params: ModelParams) -> AuxOp:
-    """Boundary monodromy U_-(lam) = M(lam) K_-(lam) Mhat(lam)."""
-    m = bulk_monodromy(lam, params)
-    return m.right_scalar(kmat_minus(lam, params)) @ mhat(lam, params)
+    """Boundary monodromy U_-(lam) = M(lam) K_-(lam) Mhat(lam), from
+    ``apply_boundary`` on the identity rows of aux (x) H."""
+    pre, km, post = _u_minus_factors(np.array([lam]), params)
+    rows = apply_boundary(np.eye(2 ** (params.N + 1), dtype=complex), pre[0], km[0], post[0])
+    return AuxOp.from_full((-1) ** params.N * rows)
 
 
 def u_plus(lam, params: ModelParams) -> AuxOp:
@@ -188,8 +242,23 @@ def u_plus(lam, params: ModelParams) -> AuxOp:
 
 
 def transfer(lam, params: ModelParams) -> np.ndarray:
-    """tr_0 { K_+(lam) U_-(lam) }."""
-    return u_minus(lam, params).left_scalar(kmat_plus(lam, params)).tr0()
+    """tr_0 { K_+(lam) U_-(lam) }; for a 1-D array of lam, one matrix per point.
+
+    All factors come from one vectorised build; ``apply_boundary`` then runs
+    point by point on the identity rows of aux (x) H, whose blocks U_ab give
+    the trace (K_+ U_-)_00 + (K_+ U_-)_11 with (K_+ U_-)_aa = sum_b K_+[a, b] U_ba."""
+    lams = np.atleast_1d(lam)
+    pre, km, post = _u_minus_factors(lams, params)
+    kp = kmat_plus(lams, params)
+    dim = 2 ** params.N
+    eye = np.eye(2 * dim, dtype=complex)
+    out = np.empty((len(lams), dim, dim), dtype=complex)
+    for p in range(len(lams)):
+        u = apply_boundary(eye, pre[p], km[p], post[p]).reshape(2, dim, 2, dim)
+        out[p] = (kp[p, 0, 0] * u[0, :, 0] + kp[p, 0, 1] * u[1, :, 0]) \
+            + (kp[p, 1, 0] * u[0, :, 1] + kp[p, 1, 1] * u[1, :, 1])
+    out *= (-1) ** params.N
+    return out if np.ndim(lam) else out[0]
 
 
 def transfer_alt(lam, params: ModelParams) -> np.ndarray:
@@ -265,11 +334,10 @@ def _hamiltonian_direct(params: ModelParams) -> np.ndarray:
 def _hamiltonian_from_transfer(params: ModelParams) -> np.ndarray:
     """Derivative of the transfer matrix at eta/2, Richardson-refined."""
     lam0 = params.eta / 2
-
-    def central(h):
-        return (transfer(lam0 + h, params) - transfer(lam0 - h, params)) / (2 * h)
-
-    deriv = (4 * central(TRANSFER_STEP / 2) - central(TRANSFER_STEP)) / 3
+    h = TRANSFER_STEP
+    t = transfer(lam0 + np.array([h / 2, -h / 2, h, -h]), params)
+    # central differences at steps h/2 and h
+    deriv = (4 * (t[0] - t[1]) / h - (t[2] - t[3]) / (2 * h)) / 3
     pref = 2 * np.sinh(params.eta) ** (1 - 2 * params.N)
     pref /= np.trace(kmat_plus(lam0, params)) * np.trace(kmat_minus(lam0, params))
     return pref * deriv

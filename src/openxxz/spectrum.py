@@ -67,7 +67,12 @@ def brute_spectrum(params: ModelParams):
     if params.N > 7:
         raise ValueError("dense spectrum capped at N = 7")
     N = params.N
-    t0 = transfer(LAMBDA_STAR, params)
+    # one generic point for the diagonalization, then N+3 varsigma points
+    # through which each eigenvalue is interpolated
+    pts = [0.31 + 0.12j, 0.57 - 0.21j, 0.83 + 0.27j, 1.07 - 0.09j, 1.31 + 0.06j,
+           0.45 + 0.36j, 0.69 - 0.33j, 0.93 + 0.18j, 1.19 - 0.28j, 0.39 - 0.04j]
+    pts = pts[:N + 3]
+    t0, *tmats = transfer(np.array([LAMBDA_STAR] + pts), params)
     evals, vr = np.linalg.eig(t0)
     order = np.argsort(evals.real + 1e-6 * evals.imag)
     evals, vr = evals[order], vr[:, order]
@@ -76,16 +81,9 @@ def brute_spectrum(params: ModelParams):
         raise ValueError("near-degenerate transfer spectrum; resample parameters")
     vl = np.linalg.inv(vr)  # rows are left eigenvectors, normalized to vl vr = 1
 
-    # interpolate each eigenvalue through N+3 varsigma points
-    pts = [0.31 + 0.12j, 0.57 - 0.21j, 0.83 + 0.27j, 1.07 - 0.09j, 1.31 + 0.06j,
-           0.45 + 0.36j, 0.69 - 0.33j, 0.93 + 0.18j, 1.19 - 0.28j, 0.39 - 0.04j]
-    pts = pts[:N + 3]
     vs = np.array([varsigma(p) for p in pts])
     vander = np.vander(vs, N + 3, increasing=True)
-    samples = np.zeros((N + 3, 2 ** N), dtype=complex)
-    for i, p in enumerate(pts):
-        tp = transfer(p, params)
-        samples[i] = np.einsum("kd,de,ek->k", vl, tp, vr)
+    samples = np.array([_diag_elements(vl, tp, vr) for tp in tmats])
     coeffs = np.linalg.solve(vander, samples)
 
     out = []
@@ -93,6 +91,12 @@ def brute_spectrum(params: ModelParams):
         out.append(TauPoly(coeffs=tuple(coeffs[:, k]), eigvec_right=vr[:, k].copy(),
                            eigvec_left=vl[k].copy(), label=k))
     return out
+
+
+def _diag_elements(vl, tmat, vr) -> np.ndarray:
+    """The diagonal of vl @ tmat @ vr: entry k is row k of vl, times tmat,
+    times column k of vr."""
+    return np.sum(vl * (tmat @ vr).T, axis=1)
 
 
 def tau_leading_coeff(params: ModelParams) -> complex:
@@ -123,19 +127,21 @@ def sov_quadratic_rhs(n: int, params: ModelParams) -> complex:
 def verify_tau(taus, params: ModelParams, eps: EpsChoice):
     """Worst residual over ``taus`` of each of the four spectral conditions.
 
-    Each held-out transfer matrix is built once for the whole list.
+    The held-out transfer matrices come from one call for the whole list.
     """
     N, eta = params.N, params.eta
     out = []
 
     # (i) degree: reproduce the transfer eigenvalue at held-out points
+    lams = (0.52 + 0.23j, 1.11 - 0.17j, 0.77 + 0.31j)
+    vl = np.array([tau.eigvec_left for tau in taus])
+    vr = np.array([tau.eigvec_right for tau in taus]).T
+    norm = np.sum(vl * vr.T, axis=1)
     res = 0.0
-    for lam in (0.52 + 0.23j, 1.11 - 0.17j, 0.77 + 0.31j):
-        tmat = transfer(lam, params)
-        for tau in taus:
-            ev = tau.eigvec_left @ tmat @ tau.eigvec_right \
-                / (tau.eigvec_left @ tau.eigvec_right)
-            res = max(res, abs(tau(lam) - ev) / abs(ev))
+    for lam, tmat in zip(lams, transfer(np.array(lams), params)):
+        ev = _diag_elements(vl, tmat, vr) / norm
+        vals = np.array([tau(lam) for tau in taus])
+        res = max(res, float(np.max(np.abs(vals - ev) / np.abs(ev))))
     out.append(("degree-interp", res))
 
     # (ii) leading asymptotics
@@ -191,8 +197,7 @@ def eigen_residual(taus, vecs: np.ndarray, params: ModelParams, side: str = "rig
     vecs = np.asarray(vecs)
     norms = np.linalg.norm(vecs, axis=1)
     res = 0.0
-    for lam in EIGEN_CHECK_LAMS:
-        tm = transfer(lam, params)
+    for lam, tm in zip(EIGEN_CHECK_LAMS, transfer(np.array(EIGEN_CHECK_LAMS), params)):
         vals = np.array([tau(lam) for tau in taus])
         diff = vecs @ (tm.T if side == "right" else tm) - vals[:, None] * vecs
         res = max(res, np.max(np.linalg.norm(diff, axis=1) / (np.abs(vals) * norms)))

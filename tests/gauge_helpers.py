@@ -1,6 +1,6 @@
 """Helpers shared by the test modules: closed forms with no caller in the
 package, the dense SOS monodromies and the gauge relations they satisfy,
-and the dense references that the SOS kernel replaced."""
+and the dense references that the row-stack kernels replaced."""
 
 import numpy as np
 
@@ -13,7 +13,16 @@ from openxxz.gauge import (
     s_chain,
     s_local,
 )
-from openxxz.lattice import AuxOp, apply_local, bulk_monodromy, mhat, rel_residual, u_minus
+from openxxz.lattice import (
+    AuxOp,
+    apply_local,
+    bulk_monodromy,
+    kmat_minus,
+    kmat_plus,
+    mhat,
+    rel_residual,
+    u_minus,
+)
 from openxxz.trig import ModelParams
 
 
@@ -164,3 +173,35 @@ def block_raw_states(params: ModelParams, gauge: GaugeParams, side: str, label) 
         op, = dense_sos_blocks("A", eta / 2 - params.xi[j], label, params, gauge)
         states = np.stack([states @ op, states], axis=1).reshape(-1, dim)
     return states
+
+
+def loop_sos_apply(vecs, factors, name=None) -> np.ndarray:
+    """gauge.sos_apply with its factor loop written out, as it was before the
+    loop moved to lattice.apply_boundary: the bitwise reference."""
+    side, pre, k, post = factors
+    if name is not None:
+        a, b = divmod("ABCD".index(name), 2)
+        a, b = (a, b) if side == "left" else (b, a)
+        rows, dim = vecs.shape
+        full = np.zeros((rows, 2 * dim), dtype=np.result_type(vecs, complex))
+        full[:, a * dim:(a + 1) * dim] = vecs
+        return loop_sos_apply(full, factors)[:, b * dim:(b + 1) * dim]
+    for n in range(len(pre), 0, -1):
+        vecs = apply_local(vecs, pre[n - 1], n)
+    vecs = np.einsum("rci,icd->rdi", vecs.reshape(len(vecs), 2, -1), k).reshape(len(vecs), -1)
+    for n in range(1, len(post) + 1):
+        vecs = apply_local(vecs, post[n - 1], n)
+    return vecs
+
+
+# The dense vertex route that lattice.u_minus and lattice.transfer replaced.
+
+def dense_u_minus(lam, params: ModelParams) -> AuxOp:
+    """U_-(lam) as the dense product M(lam) K_-(lam) Mhat(lam)."""
+    m = bulk_monodromy(lam, params)
+    return m.right_scalar(kmat_minus(lam, params)) @ mhat(lam, params)
+
+
+def dense_transfer(lam, params: ModelParams) -> np.ndarray:
+    """tr_0 { K_+(lam) U_-(lam) } from dense_u_minus."""
+    return dense_u_minus(lam, params).left_scalar(kmat_plus(lam, params)).tr0()

@@ -2,12 +2,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from openxxz import lattice
+from openxxz import gauge, lattice, sov
 from openxxz.trig import random_params, rng_for, varsigma
 from openxxz.spectrum import brute_spectrum
+from openxxz.gauge import gauge_is_safe, solve_gauge, sos_block
 from openxxz.lattice import (
     AuxOp,
     SZ,
+    apply_boundary,
     apply_local,
     bulk_monodromy,
     hamiltonian,
@@ -27,6 +29,7 @@ from openxxz.lattice import (
     u_minus,
     yang_baxter_residual,
 )
+from gauge_helpers import dense_transfer, dense_u_minus, loop_sos_apply
 
 
 @pytest.fixture(scope="module")
@@ -381,3 +384,69 @@ def test_brute_spectrum_bitwise_against_einsum_kernel(monkeypatch, N, seed):
         assert np.array_equal(g.coeffs, r.coeffs)
         assert np.array_equal(g.eigvec_right, r.eigvec_right)
         assert np.array_equal(g.eigvec_left, r.eigvec_left)
+
+
+@pytest.mark.parametrize("N", range(1, 7))
+def test_row_built_monodromy_matches_dense_product(N):
+    # apply_boundary on identity rows against bulk_monodromy . K_- . mhat,
+    # for a scalar lam and for a lam array, and against the second trace form
+    params = random_params(N, seed=N)
+    rng = rng_for(33, "row-built", N)
+    lams = np.array([rand_lam(rng) for _ in range(4)])
+    stacked = transfer(lams, params)
+    assert stacked.shape == (len(lams), 2 ** N, 2 ** N)
+    for lam, t_arr in zip(lams, stacked, strict=True):
+        ref = dense_transfer(lam, params)
+        assert rel_residual(t_arr, ref) < 1e-13
+        assert rel_residual(transfer(lam, params), ref) < 1e-13
+        assert rel_residual(transfer(lam, params), transfer_alt(lam, params)) < 1e-13
+        u = u_minus(lam, params)
+        assert rel_residual(u.full(), dense_u_minus(lam, params).full()) < 1e-13
+
+
+@pytest.mark.parametrize("N", range(1, 7))
+def test_sos_states_bitwise_against_loop(N, monkeypatch):
+    # sos_apply through lattice.apply_boundary keeps the bits of its own loop
+    params = random_params(N, seed=3)
+    g = solve_gauge(params.boundary_plus, 1, 1, params.eta)
+    assert gauge_is_safe(g, params)
+    lam = 0.73 - 0.18j
+    labels = (g.beta - 1, g.beta + 1)
+
+    def build():
+        states = [sov.raw_states(params, g, side, label)
+                  for side in ("left", "right") for label in labels]
+        blocks = [sos_block(name, lam, label, params, g) for name in "ABCD" for label in labels]
+        return states + blocks
+
+    got = build()
+    monkeypatch.setattr(sov, "sos_apply", loop_sos_apply)
+    monkeypatch.setattr(gauge, "sos_apply", loop_sos_apply)
+    ref = build()
+    for a, b in zip(got, ref, strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_apply_boundary_keeps_wide_dtypes():
+    # mpc objects and clongdouble rows and factors stay in their dtype, with
+    # K as one matrix and as a per-configuration stack
+    rng = rng_for(34, "wide-boundary")
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    N = 3
+    dim = 2 ** N
+    vecs = cplx(3, 2 * dim)
+    pre = [cplx(4, 4), cplx(2 ** (N - 2), 4, 4), cplx(4, 4)]
+    post = [cplx(4, 4), cplx(4, 4), cplx(4, 4)]
+    with mp.workdps(30):
+        for k in (cplx(2, 2), cplx(dim, 2, 2)):
+            ref = apply_boundary(vecs, pre, k, post)
+            for widen, dtype in ((_to_mpc, object), (lambda a: a.astype(np.clongdouble),
+                                                     np.clongdouble)):
+                got = apply_boundary(widen(vecs), [widen(f) for f in pre], widen(k),
+                                     [widen(f) for f in post])
+                assert got.dtype == dtype
+                got = np.asarray(got, dtype=complex)
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
