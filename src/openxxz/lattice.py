@@ -124,20 +124,16 @@ def apply_local(op, factor, n: int):
     the operand order ``np.einsum(..., optimize=True)`` uses for the same
     contraction; the tests pin the two to the last bit.
     """
-    if isinstance(op, AuxOp):
-        return AuxOp.from_full(_apply_local_rows(op.full(), factor, n))
-    return _apply_local_rows(op, factor, n)
-
-
-def _apply_local_rows(mat, factor, n: int) -> np.ndarray:
-    """The body of :func:`apply_local` on a plain stack of rows."""
+    aux = isinstance(op, AuxOp)
+    mat = op.full() if aux else op
     rows, cols = mat.shape
     a = factor.shape[-1] // 2
     left = 2 ** (n - 1)
     right = cols // (2 * a * left)
     m = mat.reshape(rows, a, left, 2, right).transpose(4, 1, 3, 0, 2)
     out = np.swapaxes(factor, -1, -2) @ m.reshape(right, 2 * a, rows * left)
-    return out.reshape(right, a, 2, rows, left).transpose(3, 1, 4, 2, 0).reshape(rows, cols)
+    out = out.reshape(right, a, 2, rows, left).transpose(3, 1, 4, 2, 0).reshape(rows, cols)
+    return AuxOp.from_full(out) if aux else out
 
 
 def apply_boundary(vecs, pre, k, post) -> np.ndarray:
@@ -147,18 +143,15 @@ def apply_boundary(vecs, pre, k, post) -> np.ndarray:
     and ``post`` hold the 4x4 factor (or per-configuration stack, see
     :func:`apply_local`) of each site 1..N; the pre factors act at sites
     N..1, then K on the auxiliary space only, then the post factors at sites
-    1..N.  K is one 2x2 matrix, or a stack of them, one per sigma^z
-    configuration of the chain in basis order.  Rows come back in the dtype
-    of the inputs; no 2^N x 2^N matrix is formed.
+    1..N.  K is a stack of 2x2 matrices, one per sigma^z configuration of
+    the chain in basis order (a broadcast view for a constant K).  Rows come
+    back in the dtype of the inputs; no 2^N x 2^N matrix is formed.
     """
     for n in range(len(pre), 0, -1):
-        vecs = _apply_local_rows(vecs, pre[n - 1], n)
-    rows = len(vecs)
-    vecs = vecs.reshape(rows, 2, -1)
-    k = np.broadcast_to(k, (vecs.shape[2], 2, 2))
-    vecs = np.einsum("rci,icd->rdi", vecs, k).reshape(rows, -1)
+        vecs = apply_local(vecs, pre[n - 1], n)
+    vecs = np.einsum("rci,icd->rdi", vecs.reshape(len(vecs), 2, -1), k).reshape(len(vecs), -1)
     for n in range(1, len(post) + 1):
-        vecs = _apply_local_rows(vecs, post[n - 1], n)
+        vecs = apply_local(vecs, post[n - 1], n)
     return vecs
 
 
@@ -216,13 +209,14 @@ def _u_minus_factors(lam, params: ModelParams):
     post factors sigma_0^y R_{0n}^{t0}(-lam - xi_n - eta/2) sigma_0^y are
     those of Mhat(lam) up to its sign (-1)^N: the quantum parts of different
     sites commute, so the aux transpose of M(-lam) is the product of the
-    transposed factors in reverse order.  Shapes (points, N, 4, 4) and
-    (points, 2, 2)."""
+    transposed factors in reverse order.  Shapes (points, N, 4, 4), and
+    (points, 2^N, 2, 2) for K_-, the same matrix for every configuration."""
     eta, xi = params.eta, np.asarray(params.xi)
     pre = r6v(lam[:, None] - xi - eta / 2, eta)
     r_hat = r6v(-lam[:, None] - xi - eta / 2, eta)
     r_hat_t0 = r_hat.reshape(r_hat.shape[:2] + (2, 2, 2, 2)).swapaxes(2, 4).reshape(r_hat.shape)
-    return pre, kmat_minus(lam, params), _SY0 @ r_hat_t0 @ _SY0
+    km = np.broadcast_to(kmat_minus(lam, params)[:, None], (len(lam), 2 ** params.N, 2, 2))
+    return pre, km, _SY0 @ r_hat_t0 @ _SY0
 
 
 def u_minus(lam, params: ModelParams) -> AuxOp:

@@ -297,7 +297,7 @@ def _einsum_apply_local(op, factor, n):
     aux = isinstance(op, AuxOp)
     mat = op.full() if aux else op
     rows, cols = mat.shape
-    a = 2 if aux else 1
+    a = factor.shape[-1] // 2
     left = 2 ** (n - 1)
     right = cols // (2 * a * left)
     stack = np.broadcast_to(factor, (right, 2 * a, 2 * a)).reshape(right, a, 2, a, 2)
@@ -429,7 +429,7 @@ def test_sos_states_bitwise_against_loop(N, monkeypatch):
 
 def test_apply_boundary_keeps_wide_dtypes():
     # mpc objects and clongdouble rows and factors stay in their dtype, with
-    # K as one matrix and as a per-configuration stack
+    # K constant (a broadcast view) and one per configuration
     rng = rng_for(34, "wide-boundary")
 
     def cplx(*shape):
@@ -441,7 +441,7 @@ def test_apply_boundary_keeps_wide_dtypes():
     pre = [cplx(4, 4), cplx(2 ** (N - 2), 4, 4), cplx(4, 4)]
     post = [cplx(4, 4), cplx(4, 4), cplx(4, 4)]
     with mp.workdps(30):
-        for k in (cplx(2, 2), cplx(dim, 2, 2)):
+        for k in (np.broadcast_to(cplx(2, 2), (dim, 2, 2)), cplx(dim, 2, 2)):
             ref = apply_boundary(vecs, pre, k, post)
             for widen, dtype in ((_to_mpc, object), (lambda a: a.astype(np.clongdouble),
                                                      np.clongdouble)):
