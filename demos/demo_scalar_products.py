@@ -8,18 +8,15 @@ that is regular in the homogeneous limit, and, on-shell, (4) by the
 jacobian (Slavnov/Gaudin) forms.
 """
 
-import numpy as np
-
 from openxxz.trig import TrigPoly, random_params
 from openxxz.gauge import solve_gauge
 from openxxz.sov import EpsChoice, SovBasis
 from openxxz.spectrum import brute_spectrum, constrain_boundary, solve_tq
-from openxxz.detid import onshell_solve
 from openxxz.scalar import (
     SeparateStateSpec,
-    build_aset,
-    f_eps,
+    bethe_log_residual,
     gaudin_norm,
+    onshell_roots,
     sp_direct,
     sp_slavnov,
     sp_slavnov_gen,
@@ -53,32 +50,33 @@ print("\non-shell state on a constrained chain:")
 cpar = constrain_boundary(4, e0, params)
 cgauge = solve_gauge(cpar.boundary_plus, 1, 1, cpar.eta)
 cbasis = SovBasis(cpar, cgauge)
-aset = build_aset(e0, e0, cpar)
 for tau in brute_spectrum(cpar):
     sol = solve_tq(tau, cpar, e0, "homogeneous")
     if sol.residual < 1e-8 and sol.q.degree >= 2:
-        roots = onshell_solve(lambda lam: f_eps(lam, aset, cpar),
-                              np.array(sol.q.roots), cpar.eta, tol=1e-12)
-        qpoly = TrigPoly(roots=tuple(roots))
+        # Newton on the Bethe equations, the Gaudin matrix as its Jacobian
+        roots = onshell_roots(sol.q.roots, e0, cpar)
         break
-print(f"  Bethe roots: {[f'{r:.4f}' for r in qpoly.roots]}")
+print(f"  Bethe roots: {[f'{complex(r):.4f}' for r in roots]}")
+print(f"  Bethe log-residual {float(max(abs(bethe_log_residual(roots, e0, cpar)))):.1e}")
 
 from openxxz.trig import rng_for
 
 rng = rng_for(7, "demo-roots")
-n = qpoly.degree
+n = len(roots)
 p_off = TrigPoly(roots=tuple(rng.uniform(0.4, 1.3, n) - 1j * rng.uniform(0.3, 0.9, n)))
-qs = SeparateStateSpec(qpoly, e0, "left")
-d = sp_direct(qs, SeparateStateSpec(p_off, e0, "right"), cbasis)
+qs = SeparateStateSpec(TrigPoly(roots=tuple(roots)), e0, "left")
+# the dense contraction takes the roots rounded to complex
+qd = SeparateStateSpec(TrigPoly(roots=tuple(complex(r) for r in roots)), e0, "left")
+d = sp_direct(qd, SeparateStateSpec(p_off, e0, "right"), cbasis)
 sl = sp_slavnov(qs, SeparateStateSpec(p_off, e0, "right"), cpar, cgauge)
 print(f"  jacobian determinant form rel diff  {abs(sl - d) / abs(d):.2e}")
 
-dqq = sp_direct(qs, SeparateStateSpec(qpoly, e0, "right"), cbasis)
+dqq = sp_direct(qd, SeparateStateSpec(qd.poly, e0, "right"), cbasis)
 gn = gaudin_norm(qs, cpar, cgauge)
 print(f"  norm pairing vs its Gaudin form     {abs(gn - dqq) / abs(dqq):.2e}")
 
 p_big = TrigPoly(roots=tuple(rng.uniform(0.4, 1.3, n + 1)
                              + 1j * rng.uniform(0.3, 0.9, n + 1)))
-d3 = sp_direct(qs, SeparateStateSpec(p_big, e0, "right"), cbasis)
+d3 = sp_direct(qd, SeparateStateSpec(p_big, e0, "right"), cbasis)
 sg = sp_slavnov_gen(qs, SeparateStateSpec(p_big, e0, "right"), cpar, cgauge)
 print(f"  rectangular rank-one-corrected form {abs(sg - d3) / abs(d3):.2e}")

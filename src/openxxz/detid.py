@@ -3,7 +3,8 @@
 Everything here is physics-free: the functional, the structured rational
 families it is evaluated on, the identities swapping the roles of the two
 point sets, and their Slavnov-type rewritings, over arbitrary complex point
-sets and function handles.
+sets and function handles.  On-shell systems are checked here, not solved:
+the chain's Bethe roots come from ``scalar.onshell_roots``.
 
 A handle (f, g and every correction function built here) takes an array of
 lam and returns an array of the same shape; a scalar lam gives a scalar.
@@ -261,41 +262,6 @@ def phi_ratio(lam, x_set, eta) -> complex:
 def onshell_residual(f, x_set, eta) -> float:
     xs = np.asarray(x_set)
     return float(np.max(np.abs(f(-xs) - f(xs) * phi_ratio(xs, x_set, eta))))
-
-
-def onshell_solve(f, x_init, eta, tol: float = 1e-11, maxit: int = 50):
-    """Newton iteration driving f(-x_k) = f(x_k) phi_x(x_k).
-
-    The residual is measured relative to the size of the two balanced terms.
-    """
-    x = np.asarray(x_init, dtype=complex).copy()
-    L = len(x)
-
-    def system(xv):
-        lhs = f(-xv)
-        rhs = f(xv) * phi_ratio(xv, xv, eta)
-        return lhs - rhs, np.maximum(np.maximum(abs(lhs), abs(rhs)), 1e-300)
-
-    best = None
-    for _ in range(maxit):
-        r, scl = system(x)
-        err = np.max(np.abs(r) / scl)
-        if best is None or err < best[0]:
-            best = (err, x.copy())
-        if err < tol:
-            return x
-        jac = np.zeros((L, L), dtype=complex)
-        step = 1e-7
-        for k in range(L):
-            xp = x.copy()
-            xp[k] += step
-            xm = x.copy()
-            xm[k] -= step
-            jac[:, k] = (system(xp)[0] - system(xm)[0]) / (2 * step)
-        x = x - np.linalg.solve(jac, r)
-    if best[0] < 10 * tol:
-        return best[1]
-    raise ValueError("on-shell Newton iteration did not converge")
 
 
 def x_weights(x_set, gx, fmx, eta):

@@ -25,7 +25,7 @@ from .sov import (
     big_a_eps_logderiv,
     branch_ratio,
     g_minus,
-    sov_norm_const,
+    gram_const,
     sov_state,
     z_beta,
 )
@@ -83,12 +83,9 @@ def sov_matrix(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
 
 def sp_sov(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
            params: ModelParams, gauge: GaugeParams) -> complex:
-    """Determinant with h-summed columns over the shifted grid."""
-    norm = sov_norm_const(params, gauge, p_spec.eps)
-    grid = params.xi_grid()
-    v0, v1 = vdm_hat(grid[:, 0]), vdm_hat(grid[:, 1])
+    """Determinant with h-summed columns over the shifted grid, over the Gram constant."""
     mat = sov_matrix(q_spec, p_spec, params)
-    return complex(det_scaled(mat) * v0 / (v1 * norm))
+    return complex(det_scaled(mat) / gram_const(params, gauge, p_spec.eps))
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +330,39 @@ def gaudin_norm(q_spec: SeparateStateSpec, params: ModelParams,
                   / (np.sinh(2 * q + eta) ** 2 * np.sinh(2 * q - eta)))
     det = det_scaled(gaudin_matrix(q, eps, params)) if len(q) else 1.0
     return complex(pref * det)
+
+
+# Newton steps onshell_roots takes before it gives up
+NEWTON_STEPS = 20
+
+
+def bethe_log_residual(q, eps: EpsChoice, params: ModelParams) -> np.ndarray:
+    """F_j = log(-A(-q_j) Q(q_j + eta) / (A(q_j) Q(q_j - eta))) with Q built on q.
+
+    Zero at the Bethe roots; gaudin_matrix is its Jacobian dF_j / dq_k.
+    """
+    _, t_minus, t_plus = _tq_table(q, TrigPoly(tuple(q)), eps, params)
+    return np.log(-t_plus / t_minus)
+
+
+def onshell_roots(q0, eps: EpsChoice, params: ModelParams) -> np.ndarray:
+    """The Bethe roots near q0, by Newton on bethe_log_residual in clongdouble with
+    gaudin_matrix as the Jacobian; each step is solved in complex128 (LAPACK has
+    no clongdouble kernel).  Returns clongdouble roots once a step falls to 1e-18
+    of them; raises ValueError on a non-finite residual or step, and with the last
+    residual when NEWTON_STEPS steps do not converge."""
+    q = np.array(q0, dtype=np.clongdouble)
+    for _ in range(NEWTON_STEPS):
+        res = bethe_log_residual(q, eps, params)
+        step = np.linalg.solve(gaudin_matrix(q, eps, params).astype(complex),
+                               res.astype(complex))
+        if not np.isfinite(step).all():
+            raise ValueError("non-finite Bethe residual or Newton step")
+        q = q - step
+        if np.max(np.abs(step)) <= 1e-18 * np.max(np.abs(q)):
+            return q
+    raise ValueError(f"Newton on the Bethe equations did not converge in {NEWTON_STEPS} "
+                     f"steps; last residual {float(np.max(np.abs(res))):.1e}")
 
 
 def sp_slavnov_gen(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,

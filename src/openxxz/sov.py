@@ -371,18 +371,24 @@ def label_product(label, gauge: GaugeParams, params: ModelParams) -> complex:
 
 
 @functools.lru_cache
-def sov_norm_const(params: ModelParams, gauge: GaugeParams, eps: EpsChoice) -> complex:
-    """Closed product form of the Gram normalization constant (cached).
+def gram_const(params: ModelParams, gauge: GaugeParams, eps: EpsChoice) -> complex:
+    """The Gram constant without its ratio Vhat(xi^(0)) / Vhat(xi^(1)) (cached).
 
-    (-1)^N Vhat(xi) Vhat(xi^(0)) / Vhat(xi^(1)) label_product(beta)
-    prod_j e^{-xi_j} sinh(-2 xi_j) / g_-(eta/2 - xi_j).
+    (-1)^N Vhat(xi) label_product(beta) prod_j e^{-xi_j} sinh(-2 xi_j) / g_-(eta/2 - xi_j).
+    The SoV determinant's prefactor cancels that ratio exactly.
     """
     xi = np.asarray(params.xi)
-    grid = params.xi_grid()
     g = g_minus(params.eta / 2 - xi, eps, gauge, params)
-    out = (-1) ** params.N * vdm_hat(xi) * vdm_hat(grid[:, 0]) / vdm_hat(grid[:, 1]) \
-        * label_product(gauge.beta, gauge, params) * np.prod(np.exp(-xi) * np.sinh(-2 * xi) / g)
+    out = (-1) ** params.N * vdm_hat(xi) * label_product(gauge.beta, gauge, params) \
+        * np.prod(np.exp(-xi) * np.sinh(-2 * xi) / g)
     return complex(out)
+
+
+@functools.lru_cache
+def sov_norm_const(params: ModelParams, gauge: GaugeParams, eps: EpsChoice) -> complex:
+    """The Gram constant (cached): gram_const times Vhat(xi^(0)) / Vhat(xi^(1))."""
+    grid = params.xi_grid()
+    return complex(gram_const(params, gauge, eps) * vdm_hat(grid[:, 0]) / vdm_hat(grid[:, 1]))
 
 
 def z_beta(params: ModelParams, gauge: GaugeParams) -> complex:

@@ -46,9 +46,8 @@ from openxxz.spectrum import (
 )
 from openxxz.scalar import (
     SeparateStateSpec,
-    build_aset,
-    f_eps,
     gaudin_norm,
+    onshell_roots,
     separate_state,
     sp_direct,
     sp_slavnov,
@@ -62,7 +61,6 @@ from openxxz.detid import (
     check_identity_E,
     generic_point_set,
     onshell_handle_family,
-    onshell_solve,
     random_fn_handle,
 )
 
@@ -86,14 +84,17 @@ def onshell_setup(n_sites, seed):
     if not gauge_is_safe(gauge, params):
         gauge = solve_gauge(params.boundary_plus, -1, -1, params.eta)
     basis = SovBasis(params, gauge)
-    aset = build_aset(E0, E0, params)
     for tau in brute_spectrum(params):
         sol = solve_tq(tau, params, E0, "homogeneous")
         if sol.residual < 1e-8 and sol.q.degree >= 2:
-            roots = onshell_solve(lambda lam: f_eps(lam, aset, params),
-                                  np.array(sol.q.roots), params.eta, tol=1e-12)
+            roots = onshell_roots(sol.q.roots, E0, params)
             return params, gauge, basis, tau, TrigPoly(roots=tuple(roots))
     raise RuntimeError("no on-shell solution found")
+
+
+def rounded(poly):
+    """The polynomial on its roots rounded to complex, for the dense states."""
+    return TrigPoly(roots=tuple(complex(r) for r in poly.roots))
 
 
 def test_criterion_01_commuting_family():
@@ -275,14 +276,16 @@ def test_criterion_09_slavnov_gaudin():
     rng = rng_for(9, "acc9")
     p = TrigPoly(roots=tuple(rng.uniform(0.4, 1.3, n) - 1j * rng.uniform(0.3, 0.9, n)))
     qs = SeparateStateSpec(qpoly, E0, "left")
-    d = sp_direct(qs, SeparateStateSpec(p, E0, "right"), basis)
+    # the dense contraction takes the roots rounded to complex
+    qd = SeparateStateSpec(rounded(qpoly), E0, "left")
+    d = sp_direct(qd, SeparateStateSpec(p, E0, "right"), basis)
     r1 = abs(sp_slavnov(qs, SeparateStateSpec(p, E0, "right"), params, gauge) - d) \
         / abs(d)
-    dqq = sp_direct(qs, SeparateStateSpec(qpoly, E0, "right"), basis)
+    dqq = sp_direct(qd, SeparateStateSpec(qd.poly, E0, "right"), basis)
     r2 = abs(gaudin_norm(qs, params, gauge) - dqq) / abs(dqq)
     p_big = TrigPoly(roots=tuple(rng.uniform(0.4, 1.3, n + 1)
                                  - 1j * rng.uniform(0.3, 0.9, n + 1)))
-    d3 = sp_direct(qs, SeparateStateSpec(p_big, E0, "right"), basis)
+    d3 = sp_direct(qd, SeparateStateSpec(p_big, E0, "right"), basis)
     r3 = abs(sp_slavnov_gen(qs, SeparateStateSpec(p_big, E0, "right"),
                             params, gauge) - d3) / abs(d3)
     worst = max(r1, r2, r3)
@@ -348,6 +351,7 @@ def test_criterion_12_atilde_and_eps_covariance():
     r_atilde = abs(t1 - t2) / abs(t1)
 
     cpar, cgauge, cbasis, tau, qpoly = onshell_setup(4, seed=2)
+    qpoly = rounded(qpoly)
     sol2 = solve_tq(tau, cpar, E1, "inhomogeneous")
     v1 = separate_state(SeparateStateSpec(qpoly, E0, "right"), cbasis)
     v2 = separate_state(SeparateStateSpec(sol2.q, E1, "right"), cbasis)

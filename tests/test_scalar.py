@@ -10,16 +10,18 @@ from openxxz.spectrum import (
     eigen_residual,
     solve_tq,
 )
-from openxxz.detid import VsRational, fbar_j, onshell_solve
+from openxxz.detid import VsRational, fbar_j
 from openxxz.suites import _gauge
 from openxxz.scalar import (
     SeparateStateSpec,
     aset_ratio_residual,
+    bethe_log_residual,
     build_aset,
     f_eps,
     g_eps_handle,
     gaudin_matrix,
     gaudin_norm,
+    onshell_roots,
     separate_state,
     sp_direct,
     sp_slavnov,
@@ -49,20 +51,30 @@ def chain4():
     return params, gauge, SovBasis(params, gauge)
 
 
+def onshell_chain(N, min_degree=1):
+    """Constrained chain of random_params(N, seed=2), the first eigenvalue whose
+    homogeneous T-Q solve passes 1e-8 with min_degree roots or more, and its
+    Bethe roots refined by onshell_roots (clongdouble)."""
+    params = constrain_boundary(N, E0, random_params(N, seed=2))
+    for tau in brute_spectrum(params):
+        sol = solve_tq(tau, params, E0, "homogeneous")
+        if sol.residual < 1e-8 and sol.q.degree >= min_degree:
+            return params, tau, onshell_roots(sol.q.roots, E0, params)
+    raise RuntimeError("no usable on-shell solution")
+
+
+def rounded(poly):
+    """The polynomial on its roots rounded to complex: the dense states' ungauge
+    solve has no clongdouble kernel."""
+    return TrigPoly(roots=tuple(complex(r) for r in poly.roots))
+
+
 @pytest.fixture(scope="module")
 def onshell4():
     """Constrained N=4 chain with an on-shell Q refined by Newton."""
-    params = constrain_boundary(4, E0, random_params(4, seed=2))
+    params, tau, roots = onshell_chain(4, min_degree=2)
     gauge = solve_gauge(params.boundary_plus, 1, 1, params.eta)
-    basis = SovBasis(params, gauge)
-    aset = build_aset(E0, E0, params)
-    for tau in brute_spectrum(params):
-        sol = solve_tq(tau, params, E0, "homogeneous")
-        if sol.residual < 1e-8 and sol.q.degree >= 2:
-            roots = onshell_solve(lambda lam: f_eps(lam, aset, params),
-                                  np.array(sol.q.roots), params.eta, tol=1e-13)
-            return params, gauge, basis, tau, TrigPoly(roots=tuple(roots))
-    raise RuntimeError("no usable on-shell solution")
+    return params, gauge, SovBasis(params, gauge), tau, TrigPoly(roots=tuple(roots))
 
 
 def poly_pair(total, rng):
@@ -84,6 +96,7 @@ def test_separate_left_forms_agree(chain3):
 
 def test_onshell_separate_state_is_eigenvector(onshell4):
     params, gauge, basis, tau, qpoly = onshell4
+    qpoly = rounded(qpoly)
     vec = separate_state(SeparateStateSpec(qpoly, E0, "right"), basis)
     assert eigen_residual([tau], [vec], params, "right") < 1e-8
     lvec = separate_state(SeparateStateSpec(qpoly, E0, "left"), basis)
@@ -299,18 +312,15 @@ def test_slavnov_single_root():
     params = constrain_boundary(1, E0, random_params(2, seed=11))
     gauge = solve_gauge(params.boundary_plus, 1, 1, params.eta)
     basis = SovBasis(params, gauge)
-    aset = build_aset(E0, E0, params)
     qpoly = None
     for tau in brute_spectrum(params):
         sol = solve_tq(tau, params, E0, "homogeneous", degree=1)
         if sol.residual < 1e-9:
-            roots = onshell_solve(lambda lam: f_eps(lam, aset, params),
-                                  np.array(sol.q.roots), params.eta, tol=1e-12)
-            qpoly = TrigPoly(roots=tuple(roots))
+            qpoly = TrigPoly(roots=tuple(onshell_roots(sol.q.roots, E0, params)))
             break
     assert qpoly is not None
     p = TrigPoly(roots=(0.77 + 0.41j,))
-    d = sp_direct(SeparateStateSpec(qpoly, E0, "left"),
+    d = sp_direct(SeparateStateSpec(rounded(qpoly), E0, "left"),
                   SeparateStateSpec(p, E0, "right"), basis)
     sl = sp_slavnov(SeparateStateSpec(qpoly, E0, "left"),
                     SeparateStateSpec(p, E0, "right"), params, gauge)
@@ -324,7 +334,7 @@ def test_slavnov_vs_direct(onshell4):
     p = TrigPoly(roots=tuple(rng.uniform(0.4, 1.3, n) + 1j * rng.uniform(0.2, 0.8, n)))
     qs = SeparateStateSpec(qpoly, E0, "left")
     ps = SeparateStateSpec(p, E0, "right")
-    d = sp_direct(qs, ps, basis)
+    d = sp_direct(SeparateStateSpec(rounded(qpoly), E0, "left"), ps, basis)
     sl = sp_slavnov(qs, ps, params, gauge)
     assert abs(sl - d) < 1e-7 * abs(d)
     t, _ = sp_thm52(qs, ps, params, gauge)
@@ -339,8 +349,8 @@ def test_slavnov_vs_direct(onshell4):
 
 def test_gaudin_norm(onshell4):
     params, gauge, basis, tau, qpoly = onshell4
-    d = sp_direct(SeparateStateSpec(qpoly, E0, "left"),
-                  SeparateStateSpec(qpoly, E0, "right"), basis)
+    d = sp_direct(SeparateStateSpec(rounded(qpoly), E0, "left"),
+                  SeparateStateSpec(rounded(qpoly), E0, "right"), basis)
     gn = gaudin_norm(SeparateStateSpec(qpoly, E0, "left"), params, gauge)
     assert abs(gn - d) < 1e-7 * abs(d)
 
@@ -357,29 +367,48 @@ def test_gaudin_matches_slavnov_limit(onshell4):
     assert abs(extrap - gn) < 1e-5 * abs(gn)
 
 
-def test_gaudin_matrix_finite_differences(onshell4):
-    params, gauge, basis, tau, qpoly = onshell4
-    q_roots = list(qpoly.roots)
-    n = len(q_roots)
-    gm = gaudin_matrix(q_roots, E0, params)
-    eta = params.eta
-
-    def ratio(roots, j):
-        qv = lambda lam: np.prod([np.cosh(2 * lam) / 2 - np.cosh(2 * r) / 2
-                                  for r in roots])
-        return big_a_eps(-roots[j], E0, params) * qv(roots[j] + eta) \
-            / (big_a_eps(roots[j], E0, params) * qv(roots[j] - eta))
-
+def test_gaudin_matrix_finite_differences():
+    # gaudin_matrix is the Jacobian of the residual onshell_roots iterates on
     h = 1e-6
-    for k in range(n):
-        for j in range(n):
-            rp = list(q_roots)
+    for N in (2, 3, 4, 5):
+        params, _, q_roots = onshell_chain(N)
+        gm = gaudin_matrix(q_roots, E0, params)
+        for k in range(len(q_roots)):
+            rp, rm = q_roots.copy(), q_roots.copy()
             rp[k] += h
-            rm = list(q_roots)
             rm[k] -= h
-            # derivative of log via the ratio to avoid branch jumps
-            fd = (ratio(rp, j) - ratio(rm, j)) / (2 * h) / ratio(q_roots, j)
-            assert abs(fd - gm[j, k]) < 1e-5 * max(abs(gm[j, k]), 1.0)
+            fd = (bethe_log_residual(rp, E0, params)
+                  - bethe_log_residual(rm, E0, params)) / (2 * h)
+            assert np.all(abs(fd - gm[:, k]) < 1e-5 * np.maximum(abs(gm[:, k]), 1.0)), (N, k)
+
+
+def test_onshell_roots_from_a_perturbed_start(onshell4, monkeypatch):
+    import openxxz.scalar as scalar_mod
+
+    params, gauge, basis, tau, qpoly = onshell4
+    roots = np.array(qpoly.roots)
+    rng = rng_for(10, "onshell-start")
+    start = roots + 1e-3 * (rng.normal(size=len(roots)) + 1j * rng.normal(size=len(roots)))
+    # four steps reach the roots; a fifth, below 1e-18 of them, confirms it
+    monkeypatch.setattr(scalar_mod, "NEWTON_STEPS", 5)
+    got = onshell_roots(start, E0, params)
+    assert got.dtype == np.clongdouble
+    assert np.max(np.abs(got - roots)) < 1e-12
+    assert np.max(np.abs(bethe_log_residual(got, E0, params))) < 1e-15
+
+
+def test_onshell_roots_raises_when_it_cannot_converge(onshell4, monkeypatch):
+    import openxxz.scalar as scalar_mod
+
+    params, gauge, basis, tau, qpoly = onshell4
+    start = np.array(qpoly.roots) + 1e-3
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ValueError, match="non-finite Bethe residual or Newton step"):
+        onshell_roots([np.nan, *start[1:]], E0, params)
+    # one step cannot take a start 1e-3 away to 1e-18
+    monkeypatch.setattr(scalar_mod, "NEWTON_STEPS", 1)
+    with pytest.raises(ValueError, match="did not converge in 1 steps; last residual"):
+        onshell_roots(start, E0, params)
 
 
 def test_slavnov_gen_vs_direct(onshell4):
@@ -391,7 +420,7 @@ def test_slavnov_gen_vs_direct(onshell4):
                                  for k in range(n_p)))
         qs = SeparateStateSpec(qpoly, E0, "left")
         ps = SeparateStateSpec(p, E0, "right")
-        d = sp_direct(qs, ps, basis)
+        d = sp_direct(SeparateStateSpec(rounded(qpoly), E0, "left"), ps, basis)
         sg = sp_slavnov_gen(qs, ps, params, gauge)
         assert abs(sg - d) < 1e-7 * abs(d)
 
@@ -411,6 +440,7 @@ def test_eps_covariance_of_eigenstates(onshell4):
     from openxxz.sov import sov_norm_const
 
     params, gauge, basis, tau, qpoly = onshell4
+    qpoly = rounded(qpoly)
     sol2 = solve_tq(tau, params, E1, "inhomogeneous")
     assert sol2.residual < 1e-8
     q2 = sol2.q
