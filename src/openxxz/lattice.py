@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .trig import ModelParams, BoundaryParams, bulk_ad
+from .trig import ModelParams, BoundaryParams, bulk_a, bulk_d
 
 ID2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -266,9 +266,7 @@ def transfer_alt(lam, params: ModelParams) -> np.ndarray:
 
 def qdet_m(lam, params: ModelParams) -> complex:
     """Bulk quantum determinant a(lam + eta/2) d(lam - eta/2)."""
-    a, _ = bulk_ad(lam + params.eta / 2, params)
-    _, d = bulk_ad(lam - params.eta / 2, params)
-    return a * d
+    return bulk_a(lam + params.eta / 2, params) * bulk_d(lam - params.eta / 2, params)
 
 
 def qdet_k_minus(lam, boundary: BoundaryParams, eta) -> complex:

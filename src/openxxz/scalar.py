@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trig import ModelParams, TrigPoly, bulk_ad, varsigma, vdm_hat
+from .trig import VS_COLLISION, ModelParams, TrigPoly, bulk_a, bulk_d, varsigma, vdm_hat
 from .lattice import det_scaled
 from .gauge import GaugeParams
 from .sov import (
@@ -66,6 +66,18 @@ def sp_direct(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
 # SoV dressed-Vandermonde determinant.
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache
+def _sov_grid(params: ModelParams, eps_p: EpsChoice, eps: EpsChoice):
+    """The pair-independent terms of sov_matrix, read-only: the shifted grid,
+    -r_i and the powers vs(xi_i^(1-h))^j."""
+    grid = params.xi_grid()
+    out = (grid, -branch_ratio(grid[:, 0], eps_p, eps, params),
+           varsigma(grid[:, ::-1])[:, :, None] ** np.arange(params.N))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def sov_matrix(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
                params: ModelParams) -> np.ndarray:
     """SoV determinant matrix of a pair: h-summed columns over the shifted grid.
@@ -73,11 +85,10 @@ def sov_matrix(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
     Entry (i, j) is sum_h (-r_i)^h P(xi_i^(h)) Q(xi_i^(h)) vs(xi_i^(1-h))^j,
     with r_i = a_{eps_P}(xi_i + eta/2) / a_{-eps_Q}(xi_i + eta/2).
     """
-    grid = params.xi_grid()
+    grid, neg_ratio, powers = _sov_grid(params, p_spec.eps, q_spec.eps)
     w = p_spec.poly(grid)
-    w[:, 1] *= -branch_ratio(grid[:, 0], p_spec.eps, q_spec.eps, params)
+    w[:, 1] *= neg_ratio
     w *= q_spec.poly(grid)
-    powers = varsigma(grid[:, ::-1])[:, :, None] ** np.arange(params.N)
     return w[:, 0, None] * powers[:, 0] + w[:, 1, None] * powers[:, 1]
 
 
@@ -142,9 +153,7 @@ def f_eps(lam, aset: ASet, params: ModelParams):
 
     Elementwise in lam: a scalar or a numpy array of points.
     """
-    a, _ = bulk_ad(-lam, params)
-    _, d = bulk_ad(lam, params)
-    out = (-1) ** params.N * a * d / np.sinh(2 * lam)
+    out = (-1) ** params.N * bulk_a(-lam, params) * bulk_d(lam, params) / np.sinh(2 * lam)
     for al in aset.values:
         out *= np.sinh(lam - al + params.eta / 2) / np.sinh(al)
     return out
@@ -193,10 +202,16 @@ def gamma_prefactor(aset: ASet, total_degree: int, params: ModelParams) -> compl
     return complex(out)
 
 
-def _exchange_prefactor(aset: ASet, eps_p: EpsChoice, total_degree: int, gam,
-                        params: ModelParams, gauge: GaugeParams) -> complex:
-    """(-1)^{N n} z_beta zbar gamma, the prefactor of every determinant form."""
-    return (-1) ** (params.N * total_degree) * z_beta(params, gauge) \
+@functools.lru_cache
+def _pair_frame(eps: EpsChoice, eps_p: EpsChoice, total_degree: int, params: ModelParams,
+                gauge: GaugeParams, a_tilde):
+    """What every determinant form reads besides the roots, built once per chain,
+    branch pair and total degree: the a-set, gamma, g (None off matching
+    branches) and the prefactor (-1)^{N n} z_beta zbar gamma."""
+    aset = build_aset(eps, eps_p, params, a_tilde)
+    gam = gamma_prefactor(aset, total_degree, params)
+    g = g_eps_handle(total_degree, aset, params) if eps == eps_p else None
+    return aset, gam, g, (-1) ** (params.N * total_degree) * z_beta(params, gauge) \
         * z_bar(aset, eps_p, params, gauge) * gam
 
 
@@ -210,21 +225,17 @@ def sp_thm52(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
     states on matching branches: the correction g then enters through the
     last column of an empty determinant, and the result would be wrong.
     """
-    eps, eps_p = q_spec.eps, p_spec.eps
-    aset = build_aset(eps, eps_p, params, a_tilde)
     n_tot = q_spec.poly.degree + p_spec.poly.degree
-    gam = gamma_prefactor(aset, n_tot, params)
+    aset, gam, g, pref = _pair_frame(q_spec.eps, p_spec.eps, n_tot, params, gauge, a_tilde)
     if abs(gam) < 1e-280:
         return 0.0 + 0j, True
-    g = g_eps_handle(n_tot, aset, params) if eps == eps_p else None
     if g is not None and n_tot == 0:
         raise ValueError("sp_thm52 has no total-degree-0 form on matching sign branches")
     zs = np.array(q_spec.poly.roots + p_spec.poly.roots)
     gz = g(zs) if g is not None else 0.0
     afun = a_functional_values(zs, f_eps(zs, aset, params), f_eps(-zs, aset, params),
                                gz, params.eta)
-    val = _exchange_prefactor(aset, eps_p, n_tot, gam, params, gauge) * afun
-    return complex(val), False
+    return complex(pref * afun), False
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +257,9 @@ def _onshell_frame(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
     p = np.array(p_spec.poly.roots, dtype=np.clongdouble)
     eta = np.clongdouble(params.eta)
     n_tot = len(q) + len(p)
-    aset = build_aset(eps, eps, params)
-    pref = _exchange_prefactor(aset, eps, n_tot, gamma_prefactor(aset, n_tot, params),
-                               params, gauge) \
-        * vdm_hat(q - eta / 2) / vdm_hat(q + eta / 2) / (vdm_hat(q[::-1]) * vdm_hat(p))
-    return q, p, aset, g_eps_handle(n_tot, aset, params), TrigPoly(tuple(q)), pref
+    aset, _, g, pref = _pair_frame(eps, eps, n_tot, params, gauge, DEFAULT_A_TILDE)
+    pref = pref * vdm_hat(q - eta / 2) / vdm_hat(q + eta / 2) / (vdm_hat(q[::-1]) * vdm_hat(p))
+    return q, p, aset, g, TrigPoly(tuple(q)), pref
 
 
 def _tq_table(p, qpoly: TrigPoly, eps: EpsChoice, params: ModelParams):
@@ -349,8 +358,10 @@ def onshell_roots(q0, eps: EpsChoice, params: ModelParams) -> np.ndarray:
     """The Bethe roots near q0, by Newton on bethe_log_residual in clongdouble with
     gaudin_matrix as the Jacobian; each step is solved in complex128 (LAPACK has
     no clongdouble kernel).  Returns clongdouble roots once a step falls to 1e-18
-    of them; raises ValueError on a non-finite residual or step, and with the last
-    residual when NEWTON_STEPS steps do not converge."""
+    of them; raises ValueError on a non-finite residual or step, on two converged
+    roots whose varsigma values lie within VS_COLLISION (the Gaudin matrix is then
+    singular and Q no Bethe state), and with the last residual when NEWTON_STEPS
+    steps do not converge."""
     q = np.array(q0, dtype=np.clongdouble)
     for _ in range(NEWTON_STEPS):
         res = bethe_log_residual(q, eps, params)
@@ -360,6 +371,10 @@ def onshell_roots(q0, eps: EpsChoice, params: ModelParams) -> np.ndarray:
             raise ValueError("non-finite Bethe residual or Newton step")
         q = q - step
         if np.max(np.abs(step)) <= 1e-18 * np.max(np.abs(q)):
+            vs = varsigma(q)
+            gaps = np.abs(np.subtract.outer(vs, vs))[np.triu_indices(len(q), 1)]
+            if np.any(gaps < VS_COLLISION):
+                raise ValueError(f"coinciding Bethe roots: varsigma values {gaps.min():.1e} apart")
             return q
     raise ValueError(f"Newton on the Bethe equations did not converge in {NEWTON_STEPS} "
                      f"steps; last residual {float(np.max(np.abs(res))):.1e}")

@@ -14,7 +14,7 @@ from itertools import product as _iterprod
 
 import numpy as np
 
-from .trig import ModelParams, bulk_ad, vdm_hat
+from .trig import ModelParams, bulk_a, bulk_d, vdm_hat
 from .lattice import qdet_m
 from .gauge import GaugeParams, bcoef_minus, s_chain, sos_apply, sos_factors
 
@@ -80,10 +80,8 @@ def big_a_eps(lam, eps: EpsChoice, params: ModelParams):
     s2 = np.sinh(2 * lam)
     if (abs(s2) < 1e-14).any():
         raise ValueError("pole of the normalization function at sinh(2 lam) = 0")
-    a, _ = bulk_ad(lam, params)
-    _, dm = bulk_ad(-lam, params)
     pref = (-1) ** params.N * np.sinh(2 * lam + params.eta) / s2
-    return pref * a_eps_small(lam, eps, params) * a * dm
+    return pref * a_eps_small(lam, eps, params) * bulk_a(lam, params) * bulk_d(-lam, params)
 
 
 def big_a_eps_logderiv(lam, eps: EpsChoice, params: ModelParams) -> complex:
@@ -124,9 +122,7 @@ def g_minus(lam, eps: EpsChoice, gauge: GaugeParams, params: ModelParams):
 
 def a_minus_norm(lam, eps: EpsChoice, gauge: GaugeParams, params: ModelParams) -> complex:
     """A_-(lam) = g_-(lam) a(lam) d(-lam)."""
-    a, _ = bulk_ad(lam, params)
-    _, dm = bulk_ad(-lam, params)
-    return g_minus(lam, eps, gauge, params) * a * dm
+    return g_minus(lam, eps, gauge, params) * bulk_a(lam, params) * bulk_d(-lam, params)
 
 
 def cond3bis_margin(params: ModelParams, eps_plus: int = 1) -> float:
@@ -154,10 +150,8 @@ def u_weight(n: int, params: ModelParams) -> complex:
     """Ratio weight u_n entering the left separate states (1-based n)."""
     eta = params.eta
     xn = params.xi[n - 1]
-    a_p, _ = bulk_ad(xn + eta / 2, params)
-    _, d_m = bulk_ad(-xn - eta / 2, params)
-    a_m, _ = bulk_ad(-xn + eta / 2, params)
-    _, d_p = bulk_ad(xn - eta / 2, params)
+    a_p, d_m = bulk_a(xn + eta / 2, params), bulk_d(-xn - eta / 2, params)
+    a_m, d_p = bulk_a(-xn + eta / 2, params), bulk_d(xn - eta / 2, params)
     return complex(np.sinh(2 * xn - eta) / np.sinh(2 * xn + eta)
                    * (a_p * d_m) / (a_m * d_p))
 
@@ -167,9 +161,12 @@ def v_weight(n: int, eps: EpsChoice, params: ModelParams) -> complex:
     return branch_ratio(params.xi[n - 1] + params.eta / 2, eps, eps, params)
 
 
+@functools.lru_cache
 def _bits(N: int) -> np.ndarray:
-    """The bit tuples of all_h as a (2^N, N) integer table."""
-    return np.array(all_h(N), dtype=int).reshape(-1, N)
+    """The bit tuples of all_h as a (2^N, N) integer table (cached, read-only)."""
+    bits = np.array(all_h(N), dtype=int).reshape(-1, N)
+    bits.setflags(write=False)
+    return bits
 
 
 def _bit_products(factors, bits) -> np.ndarray:
@@ -391,8 +388,9 @@ def sov_norm_const(params: ModelParams, gauge: GaugeParams, eps: EpsChoice) -> c
     return complex(gram_const(params, gauge, eps) * vdm_hat(grid[:, 0]) / vdm_hat(grid[:, 1]))
 
 
+@functools.lru_cache
 def z_beta(params: ModelParams, gauge: GaugeParams) -> complex:
-    """The label factor z_beta = 1 / label_product(beta) of the exchanged form."""
+    """The label factor z_beta = 1 / label_product(beta) of the exchanged form (cached)."""
     return 1 / label_product(gauge.beta, gauge, params)
 
 

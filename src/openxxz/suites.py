@@ -142,6 +142,8 @@ class _Recorder:
         t1 = time.perf_counter()
         tol = self.tol if tol is None else tol
         residual = float(residual)
+        if not error and not np.isfinite(residual):
+            error = "non-finite residual"
         self.records.append(CheckRecord(
             suite=self.suite, case=case, residual=residual, tolerance=tol,
             passed=bool(residual <= tol), seed=self.seed, n_sites=self.n,
@@ -153,6 +155,11 @@ class _Recorder:
             self.add(case, fn(), tol)
         except Exception as exc:
             self.add(case, float("inf"), tol, f"{type(exc).__name__}: {exc}")
+
+
+def _worst(*residuals) -> float:
+    """The largest residual, NaN if any is NaN (the builtin max drops a later NaN)."""
+    return float(np.max(residuals))
 
 
 def _rand_lam(rng):
@@ -182,18 +189,18 @@ def suite_lattice(config: RunConfig) -> list:
     rng = rng_for(config.seed, "lattice")
     b = params.boundary_minus
 
-    rec.guard("yang-baxter", lambda: max(
+    rec.guard("yang-baxter", lambda: _worst(*(
         yang_baxter_residual(_rand_lam(rng), _rand_lam(rng), params.eta)
-        for _ in range(5)), 1e-12)
+        for _ in range(5))), 1e-12)
     def r_at(x):
         return r6v(x, params.eta)
 
     def k_at(x):
         return AuxOp.from_scalar_matrix(kmat_generic(x, b.sigma, b.kappa, b.tau, params.eta), 1)
 
-    rec.guard("k-reflection", lambda: max(
+    rec.guard("k-reflection", lambda: _worst(*(
         reflection_residual(_rand_lam(rng), _rand_lam(rng), params.eta, r_at, k_at)
-        for _ in range(5)), 1e-12)
+        for _ in range(5))), 1e-12)
     rec.guard("u-reflection", lambda: reflection_residual(
         _rand_lam(rng), _rand_lam(rng), params.eta, r_at, lambda x: u_minus(x, params)))
 
@@ -204,25 +211,25 @@ def suite_lattice(config: RunConfig) -> list:
             for _ in range(7):
                 lam, mu = _rand_lam(rng), _rand_lam(rng)
                 t1, t2 = transfer(lam, p), transfer(mu, p)
-                worst = max(worst, np.linalg.norm(t1 @ t2 - t2 @ t1)
-                            / (np.linalg.norm(t1) * np.linalg.norm(t2)))
+                worst = _worst(worst, np.linalg.norm(t1 @ t2 - t2 @ t1)
+                               / (np.linalg.norm(t1) * np.linalg.norm(t2)))
         return worst
     rec.guard("commuting-family", commuting)
 
-    rec.guard("trace-forms", lambda: max(
+    rec.guard("trace-forms", lambda: _worst(*(
         rel_residual(transfer(lam, params), transfer_alt(lam, params))
-        for lam in (_rand_lam(rng), _rand_lam(rng))))
+        for lam in (_rand_lam(rng), _rand_lam(rng)))))
 
     eye = np.eye(2 ** params.N)
-    rec.guard("special-values", lambda: max(
+    rec.guard("special-values", lambda: _worst(*(
         rel_residual(transfer(lam, params), val * eye)
-        for lam, val in tau_special_values(params)), 1e-12)
+        for lam, val in tau_special_values(params))), 1e-12)
 
     def asymptotics():
         coef = tau_leading_coeff(params) / 4 ** (params.N + 2)
-        return max(rel_residual(transfer(lam, params)
-                                * np.exp(-2 * (params.N + 2) * abs(lam)),
-                                coef * eye) for lam in (25.0, -25.0))
+        return _worst(*(rel_residual(transfer(lam, params)
+                                     * np.exp(-2 * (params.N + 2) * abs(lam)),
+                                     coef * eye) for lam in (25.0, -25.0)))
     rec.guard("asymptotics", asymptotics, 1e-6)
 
     def hamiltonian_consistency():
@@ -239,20 +246,20 @@ def suite_gauge(config: RunConfig) -> list:
     rec = _Recorder("gauge", config.seed, params, config.tol("gauge"))
     rng = rng_for(config.seed, "gauge")
 
-    rec.guard("vertex-irf", lambda: max(
-        max(vertex_irf_residual(_rand_lam(rng), _rand_lam(rng),
-                                complex(rng.uniform(0.4, 1.2), rng.uniform(-0.3, 0.3)),
-                                gauge.alpha, params.eta),
-            vertex_irf2_residual(_rand_lam(rng), _rand_lam(rng),
-                                 complex(rng.uniform(0.4, 1.2), rng.uniform(-0.3, 0.3)),
-                                 gauge.alpha, params.eta))
-        for _ in range(5)), 1e-12)
+    rec.guard("vertex-irf", lambda: _worst(*(
+        _worst(vertex_irf_residual(_rand_lam(rng), _rand_lam(rng),
+                                   complex(rng.uniform(0.4, 1.2), rng.uniform(-0.3, 0.3)),
+                                   gauge.alpha, params.eta),
+               vertex_irf2_residual(_rand_lam(rng), _rand_lam(rng),
+                                    complex(rng.uniform(0.4, 1.2), rng.uniform(-0.3, 0.3)),
+                                    gauge.alpha, params.eta))
+        for _ in range(5))), 1e-12)
 
     def k_hat_diagonal():
         worst = 0.0
         for _ in range(5):
             k = k_plus_hat(_rand_lam(rng), params, gauge)
-            worst = max(worst, max(abs(k[0, 1]), abs(k[1, 0])) / np.linalg.norm(k))
+            worst = _worst(worst, _worst(abs(k[0, 1]), abs(k[1, 0])) / np.linalg.norm(k))
         return worst
     rec.guard("k-hat-diagonal", k_hat_diagonal, 1e-11)
 
@@ -263,7 +270,7 @@ def suite_gauge(config: RunConfig) -> list:
         s = s_chain(params, gauge.beta, gauge.alpha)
         ts = t_sos(lam, params, gauge)
         r2 = rel_residual(s @ ts @ np.linalg.inv(s), t_direct)
-        return max(r1, r2)
+        return _worst(r1, r2)
     rec.guard("gauge-transfer", conjugation, 1e-10)
 
     def spectrum_match():
@@ -277,11 +284,11 @@ def suite_gauge(config: RunConfig) -> list:
     beta = gauge.beta
     u_forms = (lambda x, lbl: u_tilde(x, params, lbl, gauge.alpha),
                lambda x, lbl: u_sos(x, params, lbl, gauge))
-    rec.guard("dynamical-reflection", lambda: max(
+    rec.guard("dynamical-reflection", lambda: _worst(*(
         reflection_residual(_rand_lam(rng), _rand_lam(rng), params.eta,
                             lambda x: r_sos(x, beta, params.eta),
                             lambda x: (u_at(x, beta + 1), u_at(x, beta - 1)))
-        for u_at in u_forms))
+        for u_at in u_forms)))
 
     for name, res in verify_sos_algebra(params, gauge, seed=config.seed):
         rec.add(f"algebra-{name}", res)
@@ -303,7 +310,7 @@ def suite_sovbasis(config: RunConfig) -> list:
             rn = np.linalg.norm(basis.right_states(eps), axis=1)
             diag = np.abs(np.diag(g) - expect) / np.abs(expect)
             off = np.abs(g - np.diag(np.diag(g))) / np.outer(ln, rn)
-            return float(max(np.max(diag), np.max(off)))
+            return _worst(np.max(diag), np.max(off))
         rec.guard(f"orthogonality-{tag}", orthogonality)
 
         rec.guard(f"norm-dense-{tag}", lambda eps=eps: abs(
@@ -329,22 +336,22 @@ def suite_spectrum(config: RunConfig) -> list:
         rec.add(f"tau-{name}", res)
 
     def eigenvectors():
-        return max(eigen_residual(
+        return _worst(*(eigen_residual(
             taus, [sov_eigenvector(tau, basis, eps, side) for tau in taus],
-            params, side) for side in ("right", "left"))
+            params, side) for side in ("right", "left")))
     rec.guard("sov-eigenvectors", eigenvectors)
 
     def inhomogeneous_tq():
-        return max(solve_tq(tau, params, eps, "inhomogeneous").residual
-                   for tau in taus)
+        return _worst(*(solve_tq(tau, params, eps, "inhomogeneous").residual
+                        for tau in taus))
     rec.guard("inhom-tq", inhomogeneous_tq)
 
     def homogeneous_tq():
         cpar = constrain_boundary(params.N, eps, params)
         if abs(f_frak(params.N, eps, cpar)) > 1e-10:
             return float("inf")
-        return max(solve_tq(tau, cpar, eps, "homogeneous").residual
-                   for tau in brute_spectrum(cpar))
+        return _worst(*(solve_tq(tau, cpar, eps, "homogeneous").residual
+                        for tau in brute_spectrum(cpar)))
     rec.guard("hom-tq-constrained", homogeneous_tq)
     return rec.records
 
@@ -385,12 +392,12 @@ def suite_scalarprod(config: RunConfig) -> list:
                     right = separate_state(ps, basis)
                     scale = np.linalg.norm(left) * np.linalg.norm(right)
                     return abs(d) / max(scale, 1e-300)
-                return max(abs(s - d), abs(t - d)) / abs(d)
+                return _worst(abs(s - d), abs(t - d)) / abs(d)
             rec.guard(f"fourway-{cls}-n{total}", fourway)
 
     def aset_check():
-        return max(aset_ratio_residual(build_aset(e0, ep, params), e0, ep, params)
-                   for ep in (e0, e1, e0.flipped()))
+        return _worst(*(aset_ratio_residual(build_aset(e0, ep, params), e0, ep, params)
+                        for ep in (e0, e1, e0.flipped())))
     rec.guard("aset-ratio", aset_check, 1e-11)
 
     def atilde_independence():
@@ -427,7 +434,7 @@ def suite_scalarprod(config: RunConfig) -> list:
         d3 = sp_direct(qd, SeparateStateSpec(p_big, e0, "right"), cbasis)
         r3 = abs(sp_slavnov_gen(qs, SeparateStateSpec(p_big, e0, "right"),
                                 cpar, cgauge) - d3) / abs(d3)
-        return max(r1, r2, r3)
+        return _worst(r1, r2, r3)
     rec.guard("slavnov-gaudin-onshell", onshell_suite, 1e-7)
     return rec.records
 
@@ -449,7 +456,7 @@ def suite_identities(config: RunConfig) -> list:
                 x = generic_point_set(rng, nx, eta)
                 z = generic_point_set(rng, nz, eta, others=x)
                 d, _, _ = check_identity_D(variant, a, x, z, eta)
-                worst = max(worst, d)
+                worst = _worst(worst, d)
             return worst
         rec.guard(f"identity-D{variant}", run_d)
 
@@ -467,7 +474,7 @@ def suite_identities(config: RunConfig) -> list:
                     f = random_fn_handle(rng, eta)
                 g = balanced_g_handle(rng, f, x, eta)
                 d, _ = check_identity_E(variant, f, g, x, y, eta)
-                worst = max(worst, d)
+                worst = _worst(worst, d)
             return worst
         rec.guard(f"identity-E{variant}", run_e)
     return rec.records

@@ -146,16 +146,20 @@ class ModelParams:
         return replace(self, xi=tuple(complex(x) for x in xi))
 
 
-def bulk_ad(lam, params: ModelParams):
-    """(a(lam), d(lam)) = (prod sinh(lam - xi_n + eta/2), prod sinh(lam - xi_n - eta/2)).
+def bulk_a(lam, params: ModelParams):
+    """a(lam) = prod sinh(lam - xi_n + eta/2); broadcasts over an array of lam and
+    keeps its dtype (``clongdouble`` included), and a scalar lam gives a scalar."""
+    return np.sinh(np.subtract.outer(lam, np.asarray(params.xi)) + params.eta / 2).prod(axis=-1)
 
-    Broadcasts over an array of lam; a scalar lam gives scalars, and the
-    dtype of lam (``clongdouble`` included) is kept.
-    """
-    diff = np.subtract.outer(lam, np.asarray(params.xi))
-    a = np.sinh(diff + params.eta / 2).prod(axis=-1)
-    d = np.sinh(diff - params.eta / 2).prod(axis=-1)
-    return a, d
+
+def bulk_d(lam, params: ModelParams):
+    """d(lam) = prod sinh(lam - xi_n - eta/2), elementwise as bulk_a."""
+    return np.sinh(np.subtract.outer(lam, np.asarray(params.xi)) - params.eta / 2).prod(axis=-1)
+
+
+def bulk_ad(lam, params: ModelParams):
+    """(a(lam), d(lam)) of bulk_a and bulk_d."""
+    return bulk_a(lam, params), bulk_d(lam, params)
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,32 @@ def test_guard_records_the_exception():
     assert json.loads(text.splitlines()[0])["error"] == broken.error
 
 
+def test_non_finite_residual_fails_with_a_named_error():
+    rec = _Recorder("scalarprod", 0, random_params(2, seed=7), 1e-8)
+    rec.add("nan", float("nan"))
+    rec.add("inf", float("inf"))
+    rec.guard("raises", lambda: 1 / 0)
+    nan, inf, raises = rec.records
+    assert not nan.passed and nan.error == "non-finite residual"
+    assert not inf.passed and inf.error == "non-finite residual"
+    assert raises.error == "ZeroDivisionError: division by zero"
+    # a NaN after a finite value survives the reduction
+    assert np.isnan(suites._worst(1e-10, float("nan")))
+
+
+def test_nan_from_a_route_fails_its_record(monkeypatch):
+    # the builtin max drops a NaN that follows a finite residual, so both
+    # records would pass with one route returning NaN
+    monkeypatch.setattr(suites, "sp_thm52", lambda *args, **kwargs: (complex("nan"), False))
+    monkeypatch.setattr(suites, "sp_slavnov_gen", lambda *args: complex("nan"))
+    report = run_suite(RunConfig(n_sites=3, seed=0, suites=("scalarprod",)))
+    records = {r.case: r for r in report.records}
+    for case in ("fourway-same-n1", "fourway-same-n3", "fourway-same-n5",
+                 "slavnov-gaudin-onshell"):
+        assert not records[case].passed, case
+        assert records[case].error == "non-finite residual", case
+
+
 def test_cli_summary_names_the_worst_case(capsys):
     import argparse
 

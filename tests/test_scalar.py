@@ -1,24 +1,32 @@
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from openxxz.trig import TrigPoly, random_params, rng_for, varsigma, vdm_hat
+from openxxz import scalar as scalar_mod, sov as sov_mod
+from openxxz.trig import TrigPoly, bulk_ad, random_params, rng_for, varsigma, vdm_hat
 from openxxz.gauge import solve_gauge
-from openxxz.sov import ADMISSIBLE_EPS, EpsChoice, SovBasis, a_eps_small, big_a_eps
+from openxxz.lattice import det_scaled
+from openxxz.sov import (ADMISSIBLE_EPS, EpsChoice, SovBasis, a_eps_small, big_a_eps,
+                         branch_ratio, gram_const, label_product)
 from openxxz.spectrum import (
     brute_spectrum,
     constrain_boundary,
     eigen_residual,
     solve_tq,
 )
-from openxxz.detid import VsRational, fbar_j
+from openxxz.detid import VsRational, a_functional_values, fbar_j
 from openxxz.suites import _gauge
 from openxxz.scalar import (
+    DEFAULT_A_TILDE,
     SeparateStateSpec,
     aset_ratio_residual,
     bethe_log_residual,
     build_aset,
     f_eps,
     g_eps_handle,
+    gamma_prefactor,
     gaudin_matrix,
     gaudin_norm,
     onshell_roots,
@@ -29,6 +37,7 @@ from openxxz.scalar import (
     sp_sov,
     sp_thm52,
     sov_matrix,
+    z_bar,
 )
 from sov_helpers import bethe_form_state
 from tq_helpers import slavnov_matrix, tq_ratio
@@ -383,8 +392,6 @@ def test_gaudin_matrix_finite_differences():
 
 
 def test_onshell_roots_from_a_perturbed_start(onshell4, monkeypatch):
-    import openxxz.scalar as scalar_mod
-
     params, gauge, basis, tau, qpoly = onshell4
     roots = np.array(qpoly.roots)
     rng = rng_for(10, "onshell-start")
@@ -398,8 +405,6 @@ def test_onshell_roots_from_a_perturbed_start(onshell4, monkeypatch):
 
 
 def test_onshell_roots_raises_when_it_cannot_converge(onshell4, monkeypatch):
-    import openxxz.scalar as scalar_mod
-
     params, gauge, basis, tau, qpoly = onshell4
     start = np.array(qpoly.roots) + 1e-3
     with np.errstate(invalid="ignore"), \
@@ -409,6 +414,18 @@ def test_onshell_roots_raises_when_it_cannot_converge(onshell4, monkeypatch):
     monkeypatch.setattr(scalar_mod, "NEWTON_STEPS", 1)
     with pytest.raises(ValueError, match="did not converge in 1 steps; last residual"):
         onshell_roots(start, E0, params)
+
+
+def test_onshell_roots_rejects_coinciding_roots(onshell4):
+    # on constrain_boundary(4, E0, random_params(4, seed=2)) both starts converge
+    # to a doubled root, where the Gaudin matrix is singular
+    params, _, _, _, qpoly = onshell4
+    for start in ([0.1j, 0.2j], [2 + 1j, 2 + 1.0001j]):
+        with pytest.raises(ValueError, match="coinciding Bethe roots"):
+            onshell_roots(start, E0, params)
+    # a start near distinct roots still converges
+    roots = np.array(qpoly.roots)
+    assert np.max(np.abs(onshell_roots(roots + 1e-6, E0, params) - roots)) < 1e-12
 
 
 def test_slavnov_gen_vs_direct(onshell4):
@@ -715,8 +732,6 @@ def _assert_entries_close(got, ref, rtol=1e-15):
 
 
 def test_onshell_matrices_match_loops(onshell4, monkeypatch):
-    import openxxz.scalar as scalar_mod
-
     params, gauge, basis, tau, qpoly = onshell4
     q_roots = list(qpoly.roots)
     n = len(q_roots)
@@ -749,3 +764,159 @@ def test_jacobian_forms_reject_mismatched_branches(onshell4):
         with pytest.raises(ValueError, match="matching sign branches"):
             form(SeparateStateSpec(qpoly, E0, "left"), SeparateStateSpec(p_poly, E1, "right"),
                  params, gauge)
+
+
+# The per-call forms of the scalar-product routes from before their
+# pair-independent factors were built once per chain; kept as their bitwise
+# references.
+
+def _f_eps_per_call(lam, aset, params):
+    a, _ = bulk_ad(-lam, params)
+    _, d = bulk_ad(lam, params)
+    out = (-1) ** params.N * a * d / np.sinh(2 * lam)
+    for al in aset.values:
+        out *= np.sinh(lam - al + params.eta / 2) / np.sinh(al)
+    return out
+
+
+def _frame_per_call(eps, eps_p, total_degree, params, gauge, a_tilde):
+    aset = build_aset(eps, eps_p, params, a_tilde)
+    gam = gamma_prefactor(aset, total_degree, params)
+    g = g_eps_handle(total_degree, aset, params) if eps == eps_p else None
+    z_beta = 1 / label_product(gauge.beta, gauge, params)
+    return aset, gam, g, (-1) ** (params.N * total_degree) * z_beta \
+        * z_bar(aset, eps_p, params, gauge) * gam
+
+
+def _sov_matrix_per_call(q_spec, p_spec, params):
+    grid = params.xi_grid()
+    w = p_spec.poly(grid)
+    w[:, 1] *= -branch_ratio(grid[:, 0], p_spec.eps, q_spec.eps, params)
+    w *= q_spec.poly(grid)
+    powers = varsigma(grid[:, ::-1])[:, :, None] ** np.arange(params.N)
+    return w[:, 0, None] * powers[:, 0] + w[:, 1, None] * powers[:, 1]
+
+
+def _sp_sov_per_call(q_spec, p_spec, params, gauge):
+    mat = _sov_matrix_per_call(q_spec, p_spec, params)
+    return complex(det_scaled(mat) / gram_const(params, gauge, p_spec.eps))
+
+
+def _sp_thm52_per_call(q_spec, p_spec, params, gauge, a_tilde=DEFAULT_A_TILDE):
+    n_tot = q_spec.poly.degree + p_spec.poly.degree
+    aset, gam, g, pref = _frame_per_call(q_spec.eps, p_spec.eps, n_tot, params, gauge, a_tilde)
+    if abs(gam) < 1e-280:
+        return 0.0 + 0j, True
+    if g is not None and n_tot == 0:
+        raise ValueError("no total-degree-0 form on matching sign branches")
+    zs = np.array(q_spec.poly.roots + p_spec.poly.roots)
+    gz = g(zs) if g is not None else 0.0
+    afun = a_functional_values(zs, _f_eps_per_call(zs, aset, params),
+                               _f_eps_per_call(-zs, aset, params), gz, params.eta)
+    return complex(pref * afun), False
+
+
+def _clear_pair_caches():
+    for cached in (scalar_mod._pair_frame, scalar_mod._sov_grid, scalar_mod.g_eps_handle,
+                   sov_mod.z_beta, sov_mod.gram_const, sov_mod.sov_norm_const, sov_mod._bits):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
+def test_cached_routes_equal_per_call_forms(N):
+    params = random_params(N, seed=3)
+    gauge = _gauge(params)
+    rng = rng_for(N, "cached-routes")
+    _clear_pair_caches()
+    for total in range(max(0, N - 2), N + 3):
+        q, p = poly_pair(total, rng)
+        for eps_p in (E0, E1, E0.flipped()):
+            qs, ps = SeparateStateSpec(q, E0, "left"), SeparateStateSpec(p, eps_p, "right")
+            ref = _sp_sov_per_call(qs, ps, params, gauge)
+            # the first call builds the caches, the second reads them
+            assert sp_sov(qs, ps, params, gauge) == ref == sp_sov(qs, ps, params, gauge)
+            for a_tilde in (DEFAULT_A_TILDE, 0.85 - 0.22j):
+                if total == 0 and eps_p == E0:
+                    for form in (_sp_thm52_per_call, sp_thm52):
+                        with pytest.raises(ValueError, match="total-degree-0"):
+                            form(qs, ps, params, gauge, a_tilde)
+                    continue
+                ref = _sp_thm52_per_call(qs, ps, params, gauge, a_tilde)
+                assert sp_thm52(qs, ps, params, gauge, a_tilde) == ref \
+                    == sp_thm52(qs, ps, params, gauge, a_tilde), (total, eps_p, a_tilde)
+
+
+def test_f_eps_equals_per_call_form(chain4):
+    params, _, _ = chain4
+    lams = np.array([0.63 + 0.27j, 1.11 - 0.35j, -0.42 + 0.8j, 0.2 - 0.05j])
+    for eps_p in (E0, E1, E0.flipped()):
+        aset = build_aset(E0, eps_p, params)
+        for lam in (lams, lams.astype(np.clongdouble), complex(lams[0])):
+            assert np.array_equal(f_eps(lam, aset, params), _f_eps_per_call(lam, aset, params))
+
+
+def test_onshell_forms_equal_per_call_frame(onshell4, monkeypatch):
+    params, gauge, basis, tau, qpoly = onshell4
+    n = qpoly.degree
+    p_roots = (0.52 + 0.33j, 0.91 - 0.41j, 1.21 + 0.52j, 0.66 - 0.2j, 0.47 + 0.58j)
+    qs = SeparateStateSpec(qpoly, E0, "left")
+    ps = SeparateStateSpec(TrigPoly(roots=p_roots[:n]), E0, "right")
+    ps_big = SeparateStateSpec(TrigPoly(roots=p_roots[:n + 1]), E0, "right")
+
+    def values():
+        return (sp_slavnov(qs, ps, params, gauge), gaudin_norm(qs, params, gauge),
+                sp_slavnov_gen(qs, ps_big, params, gauge))
+
+    _clear_pair_caches()
+    cached = values()
+    assert values() == cached
+    monkeypatch.setattr(scalar_mod, "_pair_frame", _frame_per_call)
+    monkeypatch.setattr(scalar_mod, "f_eps", _f_eps_per_call)
+    assert values() == cached
+
+
+def test_cached_tables_are_read_only(chain3):
+    params, _, _ = chain3
+    for arr in (*scalar_mod._sov_grid(params, E1, E0), sov_mod._bits(params.N)):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def _count_calls(monkeypatch, counts, module, name):
+    """Count the calls of module.name through every openxxz module that binds it."""
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("openxxz") and getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counted)
+
+
+def test_pair_independent_factors_built_once_per_key(monkeypatch):
+    # a guard: these factors read no roots, so a pair must not rebuild them
+    params = random_params(3, seed=1)
+    gauge = _gauge(params)
+    basis = SovBasis(params, gauge)
+    rng = rng_for(0, "call-counts")
+    _clear_pair_caches()
+    counts = Counter()
+    for module, name in ((scalar_mod, "z_bar"), (sov_mod, "label_product"),
+                         (sov_mod, "branch_ratio"), (sov_mod, "all_h")):
+        _count_calls(monkeypatch, counts, module, name)
+    keys = set()
+    for k in range(100):
+        total = 1 + k % 5
+        eps_p = (E0, E1, E0.flipped())[k // 5 % 3]
+        q, p = poly_pair(total, rng)
+        qs, ps = SeparateStateSpec(q, E0, "left"), SeparateStateSpec(p, eps_p, "right")
+        sp_sov(qs, ps, params, gauge)
+        sp_thm52(qs, ps, params, gauge)
+        separate_state(ps, basis)
+        keys.add((eps_p, total))
+    assert len(keys) == 15
+    for name in ("z_bar", "label_product", "branch_ratio"):
+        assert counts[name] <= len(keys), (name, counts[name])
+    # the bit table of sov_state is built once per chain length
+    assert counts["all_h"] <= 1

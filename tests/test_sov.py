@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from openxxz.trig import TrigPoly, random_params, vdm_hat
+from openxxz.trig import TrigPoly, bulk_ad, random_params, vdm_hat
 from openxxz.lattice import qdet_k_minus, qdet_k_plus, qdet_u_minus
 from openxxz.gauge import solve_gauge, sos_block, ad_plus, s_chain
 from openxxz.sov import (
@@ -112,6 +112,22 @@ def test_big_a_eps_logderiv(setup3):
     fd = (np.log(big_a_eps(lam + h, EPS0, params))
           - np.log(big_a_eps(lam - h, EPS0, params))) / (2 * h)
     assert abs(fd - big_a_eps_logderiv(lam, EPS0, params)) < 1e-6
+
+
+def test_bulk_factors_equal_their_bulk_ad_forms(setup3):
+    # big_a_eps and a_minus_norm build only a(lam) and d(-lam): bit for bit the
+    # halves of the two bulk_ad calls they made before
+    params, gauge, _ = setup3
+    lams = np.array([0.63 + 0.27j, 1.11 - 0.35j, -0.42 + 0.8j])
+    for lam in (lams, lams.astype(np.clongdouble), complex(lams[0])):
+        a, _ = bulk_ad(lam, params)
+        _, dm = bulk_ad(-lam, params)
+        pref = (-1) ** params.N * np.sinh(2 * lam + params.eta) / np.sinh(2 * lam)
+        for eps in ADMISSIBLE_EPS:
+            assert np.array_equal(big_a_eps(lam, eps, params),
+                                  pref * a_eps_small(lam, eps, params) * a * dm)
+            assert np.array_equal(a_minus_norm(lam, eps, gauge, params),
+                                  g_minus(lam, eps, gauge, params) * a * dm)
 
 
 def test_u_weight_forms_and_uv_identity(setup3):
