@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .report import VerificationReport
@@ -59,7 +58,7 @@ def load_config(path, overrides) -> RunConfig:
         )
     seed = overrides.get("seed")
     if seed is None:
-        seed = int(os.environ.get("OPENXXZ_SEED", data.get("seed", 0)))
+        seed = data.get("seed", 0)
     n_sites = overrides.get("n_sites") or data.get("n_sites", 3)
     suites = overrides.get("suites") or tuple(data.get("suites", SUITE_ORDER))
     return RunConfig(
@@ -143,7 +142,11 @@ def main(argv=None) -> int:
         if unchecked:
             print(f"homog: {unchecked} of {len(rows)} rows unchecked", file=sys.stderr)
             return EXIT_NUMERICAL_FAILURE
-        return EXIT_OK if rows[-1]["rel_diff"] < 1e-6 else EXIT_NUMERICAL_FAILURE
+        failed = [r for r in rows if r["rel_diff"] >= 1e-6]
+        for row in failed:
+            print(f"homog: epsilon {row['epsilon']:.1e}: rel_diff {row['rel_diff']:.3e} "
+                  f"not below 1e-6", file=sys.stderr)
+        return EXIT_NUMERICAL_FAILURE if failed else EXIT_OK
 
     report = run_suite(config)
     return _emit(report, args)

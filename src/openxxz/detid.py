@@ -3,8 +3,10 @@
 Everything here is physics-free: the functional, the structured rational
 families it is evaluated on, the identities swapping the roles of the two
 point sets, and their Slavnov-type rewritings, over arbitrary complex point
-sets and function handles.  On-shell systems are checked here, not solved:
-the chain's Bethe roots come from ``scalar.onshell_roots``.
+sets and function handles.  On-shell systems are not solved here: the
+chain's Bethe roots come from ``scalar.onshell_roots``, and the chain's
+on-shell forms (``scalar.sp_slavnov``, ``scalar.sp_slavnov_gen``) use this
+module's Slavnov-type assembly, ``slavnov_form``.
 
 A handle (f, g and every correction function built here) takes an array of
 lam and returns an array of the same shape; a scalar lam gives a scalar.
@@ -215,7 +217,8 @@ def check_identity_D(variant: int, a_set, x_set, z_set, eta):
     cases = {1: n == m, 2: n < m, 3: n_a == 2 and m < n, 4: n_a == 4 and m < n}
     if variant not in cases:
         raise ValueError(f"unknown variant {variant}")
-    assert cases[variant]
+    if not cases[variant]:
+        raise ValueError(f"variant {variant} does not fit {n_a} a, {n} x and {m} z points")
     a_sum = sum(a_set)
     f_ex = f_special(tuple(eta / 2 - a for a in a_set), x_set, eta)
     g = g_family(f_ex, x_set, a_sum, eta, m, n, 2 * n, f_ex.poles) if n_a == 4 else None
@@ -293,6 +296,47 @@ def correction_column(ys, w_pm, head, xs, xg, eta) -> np.ndarray:
     return head - bethe_kernel(ys, w_pm, xs, 0, xg, eta).sum(axis=1)
 
 
+def slavnov_form(variant: int, xs, ys, fz, fmz, gz, eta):
+    """The Slavnov-type form of the functional A_{x u y}[f, g] from handle values.
+
+    fz, fmz and gz hold f(z), f(-z) and g(z) on z = x then y (zeros without
+    g).  Variant 1 is the on-shell form (x on-shell for f) and variant 2 its
+    Sherman-Morrison rewriting, both for as many x as y; variant 3 is the
+    rectangular form for fewer x than y.  The dtype follows the inputs.
+    """
+    l1, l2 = len(xs), len(ys)
+    if variant not in (1, 2, 3):
+        raise ValueError(f"unknown variant {variant}")
+    if not (l1 < l2 if variant == 3 else l1 == l2):
+        raise ValueError(f"variant {variant} needs {'fewer' if variant == 3 else 'as many'} "
+                         f"x than y points, got {l1} and {l2}")
+    fx, fy, fmx, fmy, gy = fz[:l1], fz[l1:], fmz[:l1], fmz[l1:], gz[l1:]
+    xpoly = TrigPoly(tuple(xs))
+    fx_phi = fx * phi_ratio(xs, xs, eta)
+    xg = x_weights(xs, gz[:l1], fmx, eta)
+    sg = 1 + np.sum(xg)
+    w_pm = (fy * xpoly(ys + eta), fmy * xpoly(ys - eta))
+    pref = vdm_hat(xs - eta / 2) / vdm_hat(xs + eta / 2) / (vdm_hat(xs[::-1]) * vdm_hat(ys))
+    if variant == 1:
+        vx = varsigma(xs)
+        mat = sum(w[:, None] / ((varsigma(ys + sgn * eta)[:, None] - vx)
+                                * (varsigma(ys)[:, None] - vx))
+                  for sgn, w in zip((1, -1), w_pm))
+        pref *= np.prod(np.sinh(eta) * fmx * np.sinh(2 * xs)) * sg
+    else:
+        mat = bethe_kernel(ys, w_pm, xs, fmx, -fx_phi, eta)
+        corr = correction_column(ys, w_pm, gy / xpoly(ys), xs, xg, eta)
+        if variant == 2:
+            # the Schur complement through the Sherman-Morrison inverse
+            mat = mat + corr[:, None] * (fmx - fx_phi) / sg
+            pref *= sg
+        else:
+            mat = np.concatenate([mat, functional_matrix(ys, *w_pm, 0, eta)[:, :l2 - l1]],
+                                 axis=1)
+            mat[:, -1] += corr
+    return pref * det_scaled(mat)
+
+
 def check_identity_E(variant: int, f, g, x_set, y_set, eta):
     """Relative difference of the functional against its Slavnov-type form.
 
@@ -310,44 +354,15 @@ def check_identity_E(variant: int, f, g, x_set, y_set, eta):
     fz, fmz = np.asarray(f(pts), dtype=ld), np.asarray(f(-pts), dtype=ld)
     gz = np.asarray(g(pts), dtype=ld) if g is not None else np.zeros(l1 + l2, dtype=ld)
     pts = pts.astype(ld)
-    xs, ys = pts[:l1], pts[l1:]
-    fx, fy, fmx, fmy, gy = fz[:l1], fz[l1:], fmz[:l1], fmz[l1:], gz[l1:]
+    xs = pts[:l1]
 
     # left side: the dressed-Vandermonde functional in the same precision
     lhs = det_scaled(functional_matrix(pts, fz, fmz, gz, etx)) / vdm_hat(pts)
-
-    xpoly = TrigPoly(tuple(xs))
-    fx_phi = fx * phi_ratio(xs, xs, etx)
-    xg = x_weights(xs, gz[:l1], fmx, etx)
-    sg = 1 + np.sum(xg)
-    w_pm = (fy * xpoly(ys + etx), fmy * xpoly(ys - etx))
-    pref = vdm_hat(xs - etx / 2) / vdm_hat(xs + etx / 2) / (vdm_hat(xs[::-1]) * vdm_hat(ys))
-
+    rhs = slavnov_form(variant, xs, pts[l1:], fz, fmz, gz, etx)
     res_onshell = None
     if variant == 1:
-        assert l1 == l2
+        fmx, fx_phi = fmz[:l1], fz[:l1] * phi_ratio(xs, xs, etx)
         res_onshell = float(np.max(abs(fmx - fx_phi) / np.maximum(abs(fmx), abs(fx_phi))))
-        vx = varsigma(xs)
-        mat = sum(w[:, None] / ((varsigma(ys + sgn * etx)[:, None] - vx)
-                                * (varsigma(ys)[:, None] - vx))
-                  for sgn, w in zip((1, -1), w_pm))
-        pref *= np.prod(np.sinh(etx) * fmx * np.sinh(2 * xs)) * sg
-    elif variant in (2, 3):
-        kernel = bethe_kernel(ys, w_pm, xs, fmx, -fx_phi, etx)
-        corr = correction_column(ys, w_pm, gy / xpoly(ys), xs, xg, etx)
-        if variant == 2:
-            assert l1 == l2
-            # the Schur complement through the Sherman-Morrison inverse
-            mat = kernel + corr[:, None] * (fmx - fx_phi) / sg
-            pref *= sg
-        else:
-            assert l1 < l2
-            mat = np.concatenate(
-                [kernel, functional_matrix(ys, *w_pm, 0, etx)[:, :l2 - l1]], axis=1)
-            mat[:, -1] += corr
-    else:
-        raise ValueError(f"unknown variant {variant}")
-    rhs = pref * det_scaled(mat)
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return float(abs(lhs - rhs) / scale), res_onshell
 

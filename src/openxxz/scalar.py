@@ -2,9 +2,11 @@
 
 Four routes to the same number: the dense contraction oracle, the SoV
 dressed-Vandermonde determinant, the exchanged-variable determinant that is
-regular in the homogeneous limit, and (on-shell) the Slavnov / Gaudin
-jacobian forms with their rank-one-corrected rectangular generalization.
-The normalization factors they share (the Gram constant, z_beta and g_-)
+regular in the homogeneous limit, and (on-shell) the Slavnov and Gaudin
+forms with their rank-one-corrected rectangular generalization.  The
+Slavnov and rectangular forms are ``detid.slavnov_form`` of the chain's
+handle values; no Slavnov-type matrix is assembled here.  The
+normalization factors the routes share (the Gram constant, z_beta and g_-)
 come from ``sov``.
 """
 
@@ -29,8 +31,7 @@ from .sov import (
     sov_state,
     z_beta,
 )
-from .detid import (a_functional_values, correction_column, functional_matrix, g_family,
-                    x_weights)
+from .detid import a_functional_values, g_family, slavnov_form, x_weights
 
 
 @dataclass(frozen=True)
@@ -242,74 +243,38 @@ def sp_thm52(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
 # On-shell forms: Slavnov, Gaudin, and the rank-one-corrected rectangle.
 # ---------------------------------------------------------------------------
 
-def _onshell_frame(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
-                   params: ModelParams, gauge: GaugeParams):
-    """Set-up shared by the on-shell forms (gaudin_norm passes p = q).
-
-    Returns the roots q and p as clongdouble arrays, the a-set, g, Q and the
-    prefactor (-1)^{N n} z_beta zbar gamma vdm(q - eta/2) / vdm(q + eta/2)
-    / (vdm(q reversed) vdm(p)), with n the total root count.
-    """
+def _slavnov(variant: int, q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
+             params: ModelParams, gauge: GaugeParams) -> complex:
+    """The pair prefactor times detid's Slavnov-type form ``variant`` on the
+    clongdouble roots q (on-shell) then p, with f_eps and g of the pair."""
     eps = q_spec.eps
     if eps != p_spec.eps:
-        raise ValueError("the jacobian form is stated for matching sign branches")
-    q = np.array(q_spec.poly.roots, dtype=np.clongdouble)
-    p = np.array(p_spec.poly.roots, dtype=np.clongdouble)
-    eta = np.clongdouble(params.eta)
-    n_tot = len(q) + len(p)
-    aset, _, g, pref = _pair_frame(eps, eps, n_tot, params, gauge, DEFAULT_A_TILDE)
-    pref = pref * vdm_hat(q - eta / 2) / vdm_hat(q + eta / 2) / (vdm_hat(q[::-1]) * vdm_hat(p))
-    return q, p, aset, g, TrigPoly(tuple(q)), pref
-
-
-def _tq_table(p, qpoly: TrigPoly, eps: EpsChoice, params: ModelParams):
-    """Q(p), A(p) Q(p - eta) and A(-p) Q(p + eta) on an array of roots p."""
-    eta = np.clongdouble(params.eta)
-    return qpoly(p), big_a_eps(p, eps, params) * qpoly(p - eta), \
-        big_a_eps(-p, eps, params) * qpoly(p + eta)
-
-
-def _jacobian(p, q, table, eta) -> np.ndarray:
-    """Jacobian d tau(p_j) / d q_k from the closed root-derivative formula.
-
-    Reads the T-Q table of p, with tau(p) Q(p) the sum of its terms.
-    """
-    qp, t_minus, t_plus = table
-    if np.any(np.abs(qp) < 1e-280):
-        raise ValueError("p root collides with a q root")
-    vq = varsigma(q)
-    val = t_minus[:, None] / (varsigma(p - eta)[:, None] - vq) \
-        + t_plus[:, None] / (varsigma(p + eta)[:, None] - vq) \
-        - (t_minus + t_plus)[:, None] / (varsigma(p)[:, None] - vq)
-    return -np.sinh(2 * q) * val / qp[:, None]
-
-
-def _root_weights(q_roots, g, aset: ASet, params: ModelParams) -> np.ndarray:
-    """Rank-one correction weights X^g_k of f_eps over the on-shell roots."""
-    q = np.array(q_roots, dtype=np.clongdouble)
-    return x_weights(q, g(q), f_eps(-q, aset, params), np.clongdouble(params.eta))
-
-
-def h_q_factor(q_roots, g, aset: ASet, params: ModelParams) -> complex:
-    """1 plus the rank-one correction sum over the on-shell roots."""
-    if g is None:
-        return 1.0 + 0j
-    return 1 + np.sum(_root_weights(q_roots, g, aset, params))
+        raise ValueError("the on-shell forms are stated for matching sign branches")
+    zs = np.array(q_spec.poly.roots + p_spec.poly.roots, dtype=np.clongdouble)
+    if not len(zs):
+        # g enters through the last column of an empty determinant
+        raise ValueError("sp_slavnov has no total-degree-0 form on matching sign branches")
+    aset, _, g, pref = _pair_frame(eps, eps, len(zs), params, gauge, DEFAULT_A_TILDE)
+    n_q = q_spec.poly.degree
+    form = slavnov_form(variant, zs[:n_q], zs[n_q:], f_eps(zs, aset, params),
+                        f_eps(-zs, aset, params), g(zs), np.clongdouble(params.eta))
+    return complex(pref * form)
 
 
 def sp_slavnov(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
                params: ModelParams, gauge: GaugeParams) -> complex:
-    """Jacobian determinant form for an on-shell Q and equal root counts."""
+    """Slavnov form for an on-shell Q and equal root counts."""
     if q_spec.poly.degree != p_spec.poly.degree:
         raise ValueError("equal root counts required; use the rectangular form")
-    q, p, aset, g, qpoly, pref = _onshell_frame(q_spec, p_spec, params, gauge)
-    eps, eta = q_spec.eps, np.clongdouble(params.eta)
-    table = _tq_table(p, qpoly, eps, params)
-    pref *= h_q_factor(q, g, aset, params) \
-        * np.prod(table[0] / (np.sinh(2 * p + eta) * np.sinh(2 * p - eta))) \
-        * np.prod(-big_a_eps(q, eps, params) / np.sinh(2 * q + eta))
-    det = det_scaled(_jacobian(p, q, table, eta)) if len(q) else 1.0
-    return complex(pref * det)
+    return _slavnov(1, q_spec, p_spec, params, gauge)
+
+
+def sp_slavnov_gen(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
+                   params: ModelParams, gauge: GaugeParams) -> complex:
+    """Rectangular generalization with the rank-one correction column."""
+    if p_spec.poly.degree <= q_spec.poly.degree:
+        raise ValueError("rectangular form requires more p roots than q roots")
+    return _slavnov(3, q_spec, p_spec, params, gauge)
 
 
 def gaudin_matrix(q_roots, eps: EpsChoice, params: ModelParams) -> np.ndarray:
@@ -332,17 +297,29 @@ def gaudin_matrix(q_roots, eps: EpsChoice, params: ModelParams) -> np.ndarray:
 def gaudin_norm(q_spec: SeparateStateSpec, params: ModelParams,
                 gauge: GaugeParams) -> complex:
     """Norm-type pairing of an on-shell separate state with itself."""
-    q, _, aset, g, qpoly, pref = _onshell_frame(q_spec, q_spec, params, gauge)
     eps, eta = q_spec.eps, np.clongdouble(params.eta)
-    pref *= h_q_factor(q, g, aset, params) \
+    q = np.array(q_spec.poly.roots, dtype=np.clongdouble)
+    if not len(q):
+        # g enters through the last column of an empty determinant
+        raise ValueError("gaudin_norm has no total-degree-0 form on matching sign branches")
+    aset, _, g, pref = _pair_frame(eps, eps, 2 * len(q), params, gauge, DEFAULT_A_TILDE)
+    qpoly = TrigPoly(tuple(q))
+    pref = pref * vdm_hat(q - eta / 2) / vdm_hat(q + eta / 2) / (vdm_hat(q[::-1]) * vdm_hat(q))
+    pref *= (1 + np.sum(x_weights(q, g(q), f_eps(-q, aset, params), eta))) \
         * np.prod(big_a_eps(q, eps, params) ** 2 * qpoly(q - eta)
                   / (np.sinh(2 * q + eta) ** 2 * np.sinh(2 * q - eta)))
-    det = det_scaled(gaudin_matrix(q, eps, params)) if len(q) else 1.0
-    return complex(pref * det)
+    return complex(pref * det_scaled(gaudin_matrix(q, eps, params)))
 
 
 # Newton steps onshell_roots takes before it gives up
 NEWTON_STEPS = 20
+
+
+def _tq_table(p, qpoly: TrigPoly, eps: EpsChoice, params: ModelParams):
+    """Q(p), A(p) Q(p - eta) and A(-p) Q(p + eta) on an array of roots p."""
+    eta = np.clongdouble(params.eta)
+    return qpoly(p), big_a_eps(p, eps, params) * qpoly(p - eta), \
+        big_a_eps(-p, eps, params) * qpoly(p + eta)
 
 
 def bethe_log_residual(q, eps: EpsChoice, params: ModelParams) -> np.ndarray:
@@ -378,32 +355,3 @@ def onshell_roots(q0, eps: EpsChoice, params: ModelParams) -> np.ndarray:
             return q
     raise ValueError(f"Newton on the Bethe equations did not converge in {NEWTON_STEPS} "
                      f"steps; last residual {float(np.max(np.abs(res))):.1e}")
-
-
-def sp_slavnov_gen(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
-                   params: ModelParams, gauge: GaugeParams) -> complex:
-    """Rectangular generalization with the rank-one correction column."""
-    n_q, n_p = q_spec.poly.degree, p_spec.poly.degree
-    if n_p <= n_q:
-        raise ValueError("rectangular form requires more p roots than q roots")
-    q, p, aset, g, qpoly, pref = _onshell_frame(q_spec, p_spec, params, gauge)
-    eps, eta = q_spec.eps, np.clongdouble(params.eta)
-    table = _tq_table(p, qpoly, eps, params)
-    qp, t_minus, t_plus = table
-    # f_+/- = +/- A(-/+ p) sinh(2p +/- eta) Q(p +/- eta) / Q(p): the added
-    # columns are the first n_p - n_q columns of the functional's matrix
-    f_pm = (t_plus * np.sinh(2 * p + eta) / qp, -t_minus * np.sinh(2 * p - eta) / qp)
-    s_mat = np.concatenate([_jacobian(p, q, table, eta),
-                            functional_matrix(p, *f_pm, 0, eta)[:, :n_p - n_q]], axis=1)
-
-    # rank-one correction: a single non-zero column at the last position
-    if g is not None:
-        head = g(p) * np.sinh(2 * p + eta) * np.sinh(2 * p - eta) / qp ** 2
-        s_mat[:, n_p - 1] += correction_column(p, f_pm, head, q,
-                                               _root_weights(q, g, aset, params), eta)
-
-    # prefactors per the rectangular-exchange derivation: the jacobian columns
-    # absorb one f(-q_k) each and no 1/(sinh eta sinh 2q_k) factors survive
-    pref *= np.prod(qp / (np.sinh(2 * p + eta) * np.sinh(2 * p - eta))) \
-        * np.prod(f_eps(-q, aset, params))
-    return complex(pref * det_scaled(s_mat))

@@ -343,6 +343,19 @@ def test_identity_E3_g_zero_kills_correction():
     assert d < 1e-10
 
 
+def test_identities_reject_mismatched_sizes():
+    # size checks that survive python -O
+    rng = rng_for(18, "sizes")
+    f = random_fn_handle(rng, ETA)
+    a, x3, x4, y3 = rand_pts(rng, 4), rand_pts(rng, 3), rand_pts(rng, 4), rand_pts(rng, 3)
+    for variant, x, y in ((1, x3, x4), (2, x4, x3), (3, x3, y3), (3, x4, x3)):
+        with pytest.raises(ValueError, match=f"variant {variant} needs"):
+            check_identity_E(variant, f, None, x, y, ETA)
+    for variant, x, z in ((1, x3, x4), (2, x4, x3), (3, x3, x4), (4, x4, x4)):
+        with pytest.raises(ValueError, match=f"variant {variant} does not fit"):
+            check_identity_D(variant, a, x, z, ETA)
+
+
 def test_E2_reduces_to_E1_onshell():
     rng = rng_for(16, "eid")
     x = rand_pts(rng, 3)

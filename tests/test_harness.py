@@ -7,7 +7,7 @@ import pytest
 from openxxz import suites
 from openxxz.report import CheckRecord, VerificationReport, params_digest
 from openxxz.suites import RunConfig, _Recorder, homog_sweep, run_suite
-from openxxz.cli import _emit, main
+from openxxz.cli import _emit, load_config, main
 from openxxz.trig import random_params
 
 
@@ -235,6 +235,31 @@ def test_cli_homog_without_oracle_fails(capsys):
 def test_cli_homog_checks_past_three_sites():
     for sites in ("4", "7"):
         assert main(["homog", "--sites", sites, "--seed", "13"]) == 0
+
+
+def test_cli_homog_checks_every_row(monkeypatch, capsys):
+    # the first row off by 1e-3, the last one exact
+    sp_thm52, calls = suites.sp_thm52, []
+
+    def off_first(*args, **kwargs):
+        value, flag = sp_thm52(*args, **kwargs)
+        calls.append(None)
+        return value * (1 + 1e-3 * (len(calls) == 1)), flag
+
+    monkeypatch.setattr(suites, "sp_thm52", off_first)
+    assert main(["homog", "--sites", "3", "--seed", "13"]) == 1
+    err = capsys.readouterr().err
+    assert "epsilon 1.0e-01: rel_diff 1.0" in err and "epsilon 1.0e-02" not in err
+
+
+def test_cli_seed_from_flag_then_config(tmp_path, monkeypatch):
+    cfg = tmp_path / "seed.json"
+    cfg.write_text(json.dumps({"seed": 3}))
+    # the environment has no say
+    monkeypatch.setenv("OPENXXZ_SEED", "7")
+    assert load_config(str(cfg), {"seed": 5}).seed == 5
+    assert load_config(str(cfg), {}).seed == 3
+    assert load_config(None, {}).seed == 0
 
 
 def test_cli_explicit_model(tmp_path):

@@ -16,11 +16,13 @@ from openxxz.spectrum import (
     eigen_residual,
     solve_tq,
 )
-from openxxz.detid import VsRational, a_functional_values, fbar_j
+from openxxz.detid import (VsRational, a_functional_values, correction_column, fbar_j,
+                           functional_matrix, x_weights)
 from openxxz.suites import _gauge
 from openxxz.scalar import (
     DEFAULT_A_TILDE,
     SeparateStateSpec,
+    _tq_table,
     aset_ratio_residual,
     bethe_log_residual,
     build_aset,
@@ -40,7 +42,7 @@ from openxxz.scalar import (
     z_bar,
 )
 from sov_helpers import bethe_form_state
-from tq_helpers import slavnov_matrix, tq_ratio
+from tq_helpers import jacobian, slavnov_matrix, tq_ratio
 
 E0 = EpsChoice(1, 1, 1, 1)
 E1 = EpsChoice(1, -1, -1, 1)
@@ -687,73 +689,157 @@ def _gaudin_matrix_loop(q_roots, eps, params):
     return out
 
 
-def _rectangular_matrix_loop(q_roots, p_roots, eps, params):
-    from openxxz.detid import x_weights
-
-    eta = np.clongdouble(params.eta)
-    q_roots = [np.clongdouble(q) for q in q_roots]
-    p_roots = [np.clongdouble(p) for p in p_roots]
-    n_q, n_p = len(q_roots), len(p_roots)
-    aset = build_aset(eps, eps, params)
-    g = g_eps_handle(n_p + n_q, aset, params)
-    qpoly = TrigPoly(tuple(q_roots))
-    s_mat = np.zeros((n_p, n_p), dtype=np.clongdouble)
-    s_mat[:, :n_q] = _slavnov_matrix_loop(p_roots, q_roots, eps, params)
-    for j, p in enumerate(p_roots):
-        qp = qpoly(p)
-        for k in range(n_q, n_p):
-            acc = 0.0 + 0j
-            for sgn in (1, -1):
-                acc += sgn * big_a_eps(-sgn * p, eps, params) \
-                    * np.sinh(2 * p + sgn * eta) \
-                    * qpoly(p + sgn * eta) / qp \
-                    * varsigma(p + sgn * eta / 2) ** (k - n_q)
-            s_mat[j, k] = acc
-    p_col = np.zeros(n_p, dtype=np.clongdouble)
-    if g is not None:
-        w = x_weights(q_roots, [g(q) for q in q_roots],
-                      [f_eps(-q, aset, params) for q in q_roots], eta)
-        cosh_q = np.cosh(2 * np.array(q_roots) - eta)
-        for j, p in enumerate(p_roots):
-            qp = qpoly(p)
-            val = g(p) * np.sinh(2 * p + eta) * np.sinh(2 * p - eta) / qp ** 2
-            for sgn in (1, -1):
-                pref = sgn * big_a_eps(-sgn * p, eps, params) \
-                    * np.sinh(2 * p + sgn * eta) * qpoly(p + sgn * eta) / qp
-                val -= pref * np.sum(2 * w / (np.cosh(2 * p + sgn * eta) - cosh_q))
-            p_col[j] = val
-    s_mat[:, n_p - 1] += p_col
-    return s_mat
-
-
 def _assert_entries_close(got, ref, rtol=1e-15):
     assert got.shape == ref.shape and got.dtype == np.clongdouble
     assert np.all(np.abs(got - ref) <= rtol * np.abs(ref)), np.max(np.abs(got - ref) / np.abs(ref))
 
 
-def test_onshell_matrices_match_loops(onshell4, monkeypatch):
+def test_onshell_matrices_match_loops(onshell4):
     params, gauge, basis, tau, qpoly = onshell4
     q_roots = list(qpoly.roots)
     n = len(q_roots)
-    p_roots = [0.52 + 0.33j, 0.91 - 0.41j, 1.21 + 0.52j, 0.66 - 0.2j, 0.47 + 0.58j,
-               1.05 + 0.12j][:n + 2]
-    assert len(p_roots) == n + 2
+    p_roots = [0.52 + 0.33j, 0.91 - 0.41j, 1.21 + 0.52j, 0.66 - 0.2j][:n]
+    assert len(p_roots) == n
     for n_p in (0, 1, n):
         _assert_entries_close(slavnov_matrix(p_roots[:n_p], q_roots, E0, params),
                               _slavnov_matrix_loop(p_roots[:n_p], q_roots, E0, params))
     _assert_entries_close(gaudin_matrix(q_roots, E0, params),
                           _gaudin_matrix_loop(q_roots, E0, params))
 
-    seen = []
-    det_scaled = scalar_mod.det_scaled
-    monkeypatch.setattr(scalar_mod, "det_scaled", lambda m: seen.append(m) or det_scaled(m))
-    for n_p in (n + 1, n + 2):
-        seen.clear()
-        sp_slavnov_gen(SeparateStateSpec(qpoly, E0, "left"),
-                       SeparateStateSpec(TrigPoly(roots=tuple(p_roots[:n_p])), E0, "right"),
-                       params, gauge)
-        _assert_entries_close(seen[-1], _rectangular_matrix_loop(q_roots, p_roots[:n_p], E0,
-                                                                 params))
+
+# The Jacobian forms of the on-shell scalar products from before they called
+# detid's Slavnov-type assembly; kept as their references.
+
+def _onshell_frame_jacobian(q_spec, p_spec, params, gauge):
+    q = np.array(q_spec.poly.roots, dtype=np.clongdouble)
+    p = np.array(p_spec.poly.roots, dtype=np.clongdouble)
+    eta = np.clongdouble(params.eta)
+    aset, _, g, pref = scalar_mod._pair_frame(q_spec.eps, q_spec.eps, len(q) + len(p), params,
+                                              gauge, DEFAULT_A_TILDE)
+    pref = pref * vdm_hat(q - eta / 2) / vdm_hat(q + eta / 2) / (vdm_hat(q[::-1]) * vdm_hat(p))
+    weights = x_weights(q, g(q), f_eps(-q, aset, params), eta)
+    return q, p, aset, weights, TrigPoly(tuple(q)), pref
+
+
+def _sp_slavnov_jacobian(q_spec, p_spec, params, gauge):
+    q, p, aset, weights, qpoly, pref = _onshell_frame_jacobian(q_spec, p_spec, params, gauge)
+    eps, eta = q_spec.eps, np.clongdouble(params.eta)
+    table = _tq_table(p, qpoly, eps, params)
+    pref *= (1 + np.sum(weights)) \
+        * np.prod(table[0] / (np.sinh(2 * p + eta) * np.sinh(2 * p - eta))) \
+        * np.prod(-big_a_eps(q, eps, params) / np.sinh(2 * q + eta))
+    return complex(pref * det_scaled(jacobian(p, q, table, eta)))
+
+
+def _gaudin_norm_jacobian(q_spec, params, gauge):
+    q, _, aset, weights, qpoly, pref = _onshell_frame_jacobian(q_spec, q_spec, params, gauge)
+    eps, eta = q_spec.eps, np.clongdouble(params.eta)
+    pref *= (1 + np.sum(weights)) \
+        * np.prod(big_a_eps(q, eps, params) ** 2 * qpoly(q - eta)
+                  / (np.sinh(2 * q + eta) ** 2 * np.sinh(2 * q - eta)))
+    return complex(pref * det_scaled(gaudin_matrix(q, eps, params)))
+
+
+def _sp_slavnov_gen_jacobian(q_spec, p_spec, params, gauge):
+    q, p, aset, weights, qpoly, pref = _onshell_frame_jacobian(q_spec, p_spec, params, gauge)
+    eps, eta = q_spec.eps, np.clongdouble(params.eta)
+    n_q, n_p = len(q), len(p)
+    table = _tq_table(p, qpoly, eps, params)
+    qp, t_minus, t_plus = table
+    # the Bethe equations substituted into f(-p) and f(p) through the T-Q terms
+    f_pm = (t_plus * np.sinh(2 * p + eta) / qp, -t_minus * np.sinh(2 * p - eta) / qp)
+    s_mat = np.concatenate([jacobian(p, q, table, eta),
+                            functional_matrix(p, *f_pm, 0, eta)[:, :n_p - n_q]], axis=1)
+    g = scalar_mod._pair_frame(eps, eps, n_q + n_p, params, gauge, DEFAULT_A_TILDE)[2]
+    head = g(p) * np.sinh(2 * p + eta) * np.sinh(2 * p - eta) / qp ** 2
+    s_mat[:, n_p - 1] += correction_column(p, f_pm, head, q, weights, eta)
+    pref *= np.prod(qp / (np.sinh(2 * p + eta) * np.sinh(2 * p - eta))) \
+        * np.prod(f_eps(-q, aset, params))
+    return complex(pref * det_scaled(s_mat))
+
+
+def _random_roots(rng, n):
+    return tuple(rng.uniform(0.4, 1.3, n) + 1j * rng.uniform(-0.9, -0.3, n))
+
+
+def test_onshell_forms_match_jacobian_forms(onshell4):
+    chains = [(onshell4[0], onshell4[4].roots)]
+    chains += [(params, roots) for params, _, roots in map(onshell_chain, (2, 3, 4, 5))]
+    rng = rng_for(11, "jacobian-forms")
+    for params, roots in chains:
+        gauge = _gauge(params)
+        qs = SeparateStateSpec(TrigPoly(roots=tuple(roots)), E0, "left")
+        ps = SeparateStateSpec(TrigPoly(roots=_random_roots(rng, len(roots))), E0, "right")
+        ref = _sp_slavnov_jacobian(qs, ps, params, gauge)
+        assert abs(sp_slavnov(qs, ps, params, gauge) - ref) < 1e-12 * abs(ref), params.N
+        assert gaudin_norm(qs, params, gauge) == _gaudin_norm_jacobian(qs, params, gauge)
+        # the Jacobian form substitutes the Bethe equations into the
+        # rectangle and detid's does not: the two agree to the roots' rounding
+        for extra in (1, 2):
+            ps = SeparateStateSpec(TrigPoly(roots=_random_roots(rng, len(roots) + extra)), E0,
+                                   "right")
+            ref = _sp_slavnov_gen_jacobian(qs, ps, params, gauge)
+            assert abs(sp_slavnov_gen(qs, ps, params, gauge) - ref) < 1e-10 * abs(ref), \
+                (params.N, extra)
+
+
+def test_slavnov_gen_meets_sp_sov_on_every_eigenvalue():
+    # one random p per eigenvalue whose homogeneous T-Q solve passes 1e-8, at
+    # the on-shell suite's tolerance
+    for seed in (0, 1, 2):
+        params = constrain_boundary(4, E0, random_params(4, seed=seed))
+        gauge = _gauge(params)
+        rng = rng_for(seed, "slavnov-gen-sov")
+        checked = 0
+        for tau in brute_spectrum(params):
+            sol = solve_tq(tau, params, E0, "homogeneous")
+            if sol.residual >= 1e-8 or sol.q.degree < 1:
+                continue
+            roots = onshell_roots(sol.q.roots, E0, params)
+            qs = SeparateStateSpec(TrigPoly(roots=tuple(roots)), E0, "left")
+            ps = SeparateStateSpec(TrigPoly(roots=_random_roots(rng, len(roots) + 1)), E0,
+                                   "right")
+            ref = sp_sov(SeparateStateSpec(rounded(qs.poly), E0, "left"), ps, params, gauge)
+            assert abs(sp_slavnov_gen(qs, ps, params, gauge) - ref) < 1e-7 * abs(ref), \
+                (seed, tau)
+            checked += 1
+        assert checked, seed
+
+
+def test_one_slavnov_type_assembly(onshell4, monkeypatch):
+    # a guard: the chain's on-shell forms and check_identity_E share detid's
+    # assembly, and scalar binds none of its parts
+    from openxxz import detid
+
+    params, gauge, _, _, qpoly = onshell4
+    rng = rng_for(13, "one-assembly")
+    counts = Counter()
+    _count_calls(monkeypatch, counts, detid, "slavnov_form")
+    qs = SeparateStateSpec(qpoly, E0, "left")
+    for form, n_p in ((sp_slavnov, qpoly.degree), (sp_slavnov_gen, qpoly.degree + 1)):
+        form(qs, SeparateStateSpec(TrigPoly(roots=_random_roots(rng, n_p)), E0, "right"),
+             params, gauge)
+        assert counts.pop("slavnov_form") == 1, form.__name__
+    x = detid.generic_point_set(rng, 2, params.eta)
+    y = detid.generic_point_set(rng, 3, params.eta, others=x)
+    detid.check_identity_E(3, detid.random_fn_handle(rng, params.eta), None, x, y, params.eta)
+    assert counts.pop("slavnov_form") == 1
+    gaudin_norm(qs, params, gauge)
+    assert not counts
+    for name in ("bethe_kernel", "correction_column", "functional_matrix"):
+        assert not hasattr(scalar_mod, name), name
+
+
+def test_onshell_forms_refuse_zero_roots():
+    # q = p = 1 on matching branches: g has no column to enter, as in sp_thm52
+    one = SeparateStateSpec(TrigPoly(roots=()), E0, "left")
+    for N in (2, 3, 4):
+        params = constrain_boundary(0, E0, random_params(N, seed=0))
+        gauge = _gauge(params)
+        with pytest.raises(ValueError, match="total-degree-0 form on matching sign branches"):
+            sp_slavnov(one, SeparateStateSpec(one.poly, E0, "right"), params, gauge)
+        with pytest.raises(ValueError, match="total-degree-0 form on matching sign branches"):
+            gaudin_norm(one, params, gauge)
 
 
 def test_jacobian_forms_reject_mismatched_branches(onshell4):
