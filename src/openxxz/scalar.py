@@ -50,7 +50,7 @@ class SeparateStateSpec:
 def separate_state(spec: SeparateStateSpec, basis: SovBasis,
                    use_bis: bool = False) -> np.ndarray:
     """Assemble the 2^N-term separate state in the computational basis."""
-    qtab = spec.poly(basis.params.xi_grid())
+    qtab = spec.poly.at_varsigma(_grid_varsigma(basis.params))
     vec = sov_state(qtab, basis, spec.side, spec.eps, use_bis)
     return vec / basis.norm_const(spec.eps)
 
@@ -68,15 +68,25 @@ def sp_direct(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache
-def _sov_grid(params: ModelParams, eps_p: EpsChoice, eps: EpsChoice):
-    """The pair-independent terms of sov_matrix, read-only: the shifted grid,
-    -r_i and the powers vs(xi_i^(1-h))^j."""
-    grid = params.xi_grid()
-    out = (grid, -branch_ratio(grid[:, 0], eps_p, eps, params),
-           varsigma(grid[:, ::-1])[:, :, None] ** np.arange(params.N))
-    for arr in out:
-        arr.setflags(write=False)
+def _grid_varsigma(params: ModelParams) -> np.ndarray:
+    """varsigma on the shifted grid, read-only: entry [n - 1, h] is vs(xi_n^(h)).
+
+    Every separate state and SoV matrix evaluates its Q and P there."""
+    out = varsigma(params.xi_grid())
+    out.setflags(write=False)
     return out
+
+
+@functools.lru_cache
+def _sov_grid(params: ModelParams, eps_p: EpsChoice, eps: EpsChoice):
+    """The pair-independent terms of sov_matrix, read-only: the varsigma table
+    of the shifted grid, -r_i and the powers vs(xi_i^(1-h))^j."""
+    vs = _grid_varsigma(params)
+    neg_ratio = -branch_ratio(params.xi_grid()[:, 0], eps_p, eps, params)
+    powers = vs[:, ::-1, None] ** np.arange(params.N)
+    for arr in (neg_ratio, powers):
+        arr.setflags(write=False)
+    return vs, neg_ratio, powers
 
 
 def sov_matrix(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
@@ -86,10 +96,10 @@ def sov_matrix(q_spec: SeparateStateSpec, p_spec: SeparateStateSpec,
     Entry (i, j) is sum_h (-r_i)^h P(xi_i^(h)) Q(xi_i^(h)) vs(xi_i^(1-h))^j,
     with r_i = a_{eps_P}(xi_i + eta/2) / a_{-eps_Q}(xi_i + eta/2).
     """
-    grid, neg_ratio, powers = _sov_grid(params, p_spec.eps, q_spec.eps)
-    w = p_spec.poly(grid)
+    vs, neg_ratio, powers = _sov_grid(params, p_spec.eps, q_spec.eps)
+    w = p_spec.poly.at_varsigma(vs)
     w[:, 1] *= neg_ratio
-    w *= q_spec.poly(grid)
+    w *= q_spec.poly.at_varsigma(vs)
     return w[:, 0, None] * powers[:, 0] + w[:, 1, None] * powers[:, 1]
 
 

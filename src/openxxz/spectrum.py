@@ -43,8 +43,12 @@ class TauPoly:
 
     def __call__(self, lam):
         """tau(lam) as a complex for a scalar lam, as an array for an array."""
-        val = np.polynomial.polynomial.polyval(varsigma(lam), np.asarray(self.coeffs))
+        val = self.at_varsigma(varsigma(lam))
         return val if np.ndim(val) else complex(val)
+
+    def at_varsigma(self, vs):
+        """tau at the points whose varsigma values are vs, by Horner's rule."""
+        return _horner(self.coeffs, vs)
 
     @property
     def degree(self) -> int:
@@ -274,26 +278,67 @@ def _collocation_points(count: int):
     return np.concatenate([arc1, arc2])
 
 
+def _horner(coeffs, x):
+    """sum_k coeffs[k] x^k by Horner's rule, the steps of numpy's ``polyval``
+    in its order, so both round alike: on an array of x with numpy's array
+    products, on a Python complex x with Python's (the same as numpy's
+    scalar products)."""
+    out = coeffs[-1] + x * 0
+    for c in coeffs[-2::-1]:
+        out = c + out * x
+    return out
+
+
+def _polished_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots in varsigma of the monic sum_k coeffs[k] vs^k, one Newton step each.
+
+    The roots are the sorted eigenvalues of the companion matrix, built as
+    ``np.polynomial.polynomial.polyroots`` builds it, and the derivative's
+    coefficients are ``polyder``'s.  The polish runs one root at a time (see
+    ``solve_tq``), Horner in Python ``complex``, whose products round as
+    numpy's scalar ones do; Python's complex quotient does not, so the
+    Newton quotient is numpy's.
+    """
+    deg = len(coeffs) - 1
+    if deg == 1:
+        roots = np.array([-coeffs[0] / coeffs[1]])
+    else:
+        companion = np.zeros((deg, deg), dtype=coeffs.dtype)
+        companion.reshape(-1)[deg::deg + 1] = 1
+        companion[:, -1] -= coeffs[:-1] / coeffs[-1]
+        roots = np.linalg.eigvals(companion)
+        roots.sort()
+    c, dc = coeffs.tolist(), (coeffs[1:] * np.arange(1, deg + 1)).tolist()
+    for i, r in enumerate(roots.tolist()):
+        dp = _horner(dc, r)
+        if abs(dp) > 1e-13:
+            roots[i] = r - np.complex128(_horner(c, r)) / np.complex128(dp)
+    return roots
+
+
 @functools.lru_cache
 def _tq_grid(params: ModelParams, eps: EpsChoice, inhomogeneous: bool, degree: int):
     """The tau-independent terms of the collocation system, read-only.
 
     Built once per (chain, branch, mode, degree) and shared by the solves of
-    every eigenvalue: the grid pts, A(pts), A(-pts), the inhomogeneous term
-    (zero in homogeneous mode), and in the monomials varsigma^k, k = 0..degree,
+    every eigenvalue, on the collocation grid pts: the (3, len(pts)) table
+    of varsigma at pts, pts - eta and pts + eta, on which tau and the
+    root-form Q are evaluated; A(pts), A(-pts); the inhomogeneous term (zero
+    in homogeneous mode); and in the monomials varsigma^k, k = 0..degree,
     V(pts), A(pts) V(pts - eta) and A(-pts) V(pts + eta).
     """
     pts = _collocation_points(max(4 * params.N, degree + 3))
     eta = params.eta
+    vs = np.array([varsigma(pts), varsigma(pts - eta), varsigma(pts + eta)])
     a_p = big_a_eps(pts, eps, params)
     a_m = big_a_eps(-pts, eps, params)
     f = big_f_eps(pts, eps, params) if inhomogeneous else np.zeros(len(pts), complex)
 
-    def vander(lams):
-        return np.vander(varsigma(lams), degree + 1, increasing=True)
+    def vander(row):
+        return np.vander(row, degree + 1, increasing=True)
 
-    out = (pts, a_p, a_m, f, vander(pts), a_p[:, None] * vander(pts - eta),
-           a_m[:, None] * vander(pts + eta))
+    out = (vs, a_p, a_m, f, vander(vs[0]), a_p[:, None] * vander(vs[1]),
+           a_m[:, None] * vander(vs[2]))
     for arr in out:
         arr.setflags(write=False)
     return out
@@ -301,19 +346,30 @@ def _tq_grid(params: ModelParams, eps: EpsChoice, inhomogeneous: bool, degree: i
 
 def solve_tq(tau: TauPoly, params: ModelParams, eps: EpsChoice,
              mode: str = "homogeneous", degree: int | None = None) -> QSolution:
-    """Least-squares solve for the monic Q of the T-Q functional equation."""
+    """Least-squares solve for the monic Q of the T-Q functional equation.
+
+    Per eigenvalue this evaluates tau on the cached grid, fits, roots the
+    fit by ``_polished_roots`` and evaluates the residual of the root-form Q
+    on the cached varsigma table; the roots, the residual and the singular
+    ratio are those of the ``np.polynomial`` form of the same steps.  The
+    Newton polish stays scalar, one root at a time, because numpy's array
+    complex products round differently from its scalar ones: a vectorised
+    polish would move the roots, and every record read from them, in the
+    last bits.
+    """
     inhom = mode == "inhomogeneous"
     if mode not in ("homogeneous", "inhomogeneous"):
         raise ValueError(f"unknown mode {mode!r}")
     deg = params.N if degree is None else degree
+    if isinstance(deg, bool) or not isinstance(deg, (int, np.integer)) or deg < 0:
+        raise ValueError(f"degree must be a non-negative integer, got {degree!r}")
     if not inhom and abs(f_frak(deg, eps, params)) > 1e-8:
         raise ValueError("homogeneous mode requires the degree-q scalar to vanish")
 
-    pts, a_p, a_m, f, v0, vm, vp = _tq_grid(params, eps, inhom, deg)
-    eta = params.eta
+    vs, a_p, a_m, f, v0, vm, vp = _tq_grid(params, eps, inhom, deg)
 
     # row i is the equation at pts[i] in the monomials varsigma^k, k = 0..deg
-    t = tau(pts)
+    t = tau.at_varsigma(vs[0])
     rows = t[:, None] * v0 - vm - vp
     target = f - rows[:, deg]
     # each collocation equation is weighted to unit scale: the wide arc
@@ -328,22 +384,13 @@ def solve_tq(tau: TauPoly, params: ModelParams, eps: EpsChoice,
     sol, _, _, sv = np.linalg.lstsq(a_mat / col_scale, b_vec, rcond=None)
     coeffs = np.append(sol / col_scale, 1.0)
     singular_ratio = float(sv[-1] / sv[0]) if len(sv) else 1.0
-
-    # companion-matrix roots in varsigma, one Newton polish step each
-    if deg > 0:
-        roots_vs = np.polynomial.polynomial.polyroots(coeffs)
-        dcoef = np.polynomial.polynomial.polyder(coeffs)
-        for i, r in enumerate(roots_vs):
-            dp = np.polynomial.polynomial.polyval(r, dcoef)
-            if abs(dp) > 1e-13:
-                roots_vs[i] = r - np.polynomial.polynomial.polyval(r, coeffs) / dp
-        q = TrigPoly(roots=tuple(canonical_root(roots_vs)))
-    else:
-        q = TrigPoly(roots=())
+    q = TrigPoly(roots=tuple(canonical_root(_polished_roots(coeffs)))) if deg > 0 \
+        else TrigPoly(roots=())
 
     # report the equation residual of the root-form Q on the collocation
     # grid, relative to the size of the balanced terms
-    terms = np.array([t * q(pts), a_p * q(pts - eta), a_m * q(pts + eta), f])
+    qv = q.at_varsigma(vs)
+    terms = np.array([t * qv[0], a_p * qv[1], a_m * qv[2], f])
     val = terms[0] - terms[1] - terms[2] - terms[3]
     res = np.max(np.abs(val) / np.max(np.abs(terms), axis=0))
     return QSolution(q=q, inhomogeneous=inhom, eps=eps, residual=float(res),

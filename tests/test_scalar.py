@@ -903,8 +903,9 @@ def _sp_thm52_per_call(q_spec, p_spec, params, gauge, a_tilde=DEFAULT_A_TILDE):
 
 
 def _clear_pair_caches():
-    for cached in (scalar_mod._pair_frame, scalar_mod._sov_grid, scalar_mod.g_eps_handle,
-                   sov_mod.z_beta, sov_mod.gram_const, sov_mod.sov_norm_const, sov_mod._bits):
+    for cached in (scalar_mod._pair_frame, scalar_mod._sov_grid, scalar_mod._grid_varsigma,
+                   scalar_mod.g_eps_handle, sov_mod.z_beta, sov_mod.gram_const,
+                   sov_mod.sov_norm_const, sov_mod._bits):
         cached.cache_clear()
 
 

@@ -396,6 +396,76 @@ def test_solve_tq_matches_inline_collocation(N):
     assert _tq_grid.cache_info().misses == len(cases)
 
 
+@pytest.fixture(scope="module")
+def tq_pool():
+    """The bench's tq-n5 models: random_params(5, seed=m), m = 0..5, each as
+    (params, spectrum, constrained params, constrained spectrum)."""
+    out = []
+    for m in range(6):
+        params = random_params(5, seed=m)
+        cpar = constrain_boundary(5, EPS0, params)
+        out.append((params, brute_spectrum(params), cpar, brute_spectrum(cpar)))
+    return out
+
+
+def test_solve_tq_matches_inline_collocation_on_the_tq_pool(tq_pool):
+    for params, taus, cpar, ctaus in tq_pool:
+        cases = [(cpar, ctaus, EPS0, "homogeneous"), (params, taus, EPS0, "inhomogeneous"),
+                 (params, taus, EPS0.flipped(), "inhomogeneous")]
+        for p, spectrum_p, eps, mode in cases:
+            for tau in spectrum_p:
+                sol = solve_tq(tau, p, eps, mode)
+                roots, res, ratio = _solve_tq_inline(tau, p, eps, mode)
+                assert np.array_equal(np.array(sol.q.roots), roots)
+                assert sol.residual == res and sol.singular_ratio == ratio
+
+
+def test_solve_tq_calls_no_polynomial_helper(tq_pool, monkeypatch):
+    params, taus, cpar, ctaus = tq_pool[1]
+    cases = [(tau, cpar, EPS0, "homogeneous") for tau in ctaus[::4]] \
+        + [(tau, params, eps, "inhomogeneous") for tau in taus[::4]
+           for eps in (EPS0, EPS0.flipped())]
+    before = [solve_tq(*case) for case in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.polynomial helper called")
+
+    for name in ("polyroots", "polyval", "polyder", "polycompanion"):
+        monkeypatch.setattr(np.polynomial.polynomial, name, refuse)
+    calls = {TauPoly: 0, TrigPoly: 0}
+    for cls in calls:
+        def counted(self, lam, _cls=cls, _call=cls.__call__):
+            calls[_cls] += 1
+            return _call(self, lam)
+        monkeypatch.setattr(cls, "__call__", counted)
+    for case, ref in zip(cases, before):
+        sol = solve_tq(*case)
+        assert np.array_equal(np.array(sol.q.roots), np.array(ref.q.roots))
+        assert sol.residual == ref.residual and sol.singular_ratio == ref.singular_ratio
+    assert calls == {TauPoly: 0, TrigPoly: 0}
+
+
+@pytest.mark.parametrize("degree", [-1, 2.0])
+def test_solve_tq_rejects_a_bad_degree(setup3, degree):
+    params, _, taus = setup3
+    with pytest.raises(ValueError, match="degree must be a non-negative integer"):
+        solve_tq(taus[0], params, EPS0, "inhomogeneous", degree)
+
+
+def test_tau_call_is_polyval_bit_for_bit(setup3):
+    _, _, taus = setup3
+    lams = np.concatenate([_collocation_points(12), [0.37 - 0.81j, -0.52 + 0.23j]])
+    for tau in taus[:3]:
+        coeffs = np.asarray(tau.coeffs)
+        ref = np.polynomial.polynomial.polyval(varsigma(lams), coeffs)
+        assert np.array_equal(tau(lams), ref)
+        assert np.array_equal(tau.at_varsigma(varsigma(lams)), ref)
+        for lam in (lams[0], complex(lams[-1])):
+            val = tau(lam)
+            assert type(val) is complex
+            assert val == complex(np.polynomial.polynomial.polyval(varsigma(lam), coeffs))
+
+
 def test_tq_grid_built_once_per_model_branch_mode_and_degree(setup3):
     params, _, _ = setup3
     cpar = constrain_boundary(params.N, EPS0, params)

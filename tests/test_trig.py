@@ -182,3 +182,62 @@ def test_trig_poly_admissibility():
     bad = TrigPoly(roots=(params.xi_shifted(1, 0),))
     assert ok.admissible_for(params)
     assert not bad.admissible_for(params)
+
+
+def _canonical_root_reference(sigma_value):
+    """The three unconditional np.where steps of canonical_root: the bitwise
+    reference for the form that runs each step only where its mask holds."""
+    lam = 0.5 * np.arccosh(2 * np.asarray(sigma_value, dtype=complex) + 0j)
+    lam = np.where((lam.real < 0) | ((lam.real == 0) & (lam.imag < 0)), -lam, lam)
+    lam = np.where(lam.imag <= -np.pi / 2, lam + 1j * np.pi,
+                   np.where(lam.imag > np.pi / 2, lam - 1j * np.pi, lam))
+    lam = np.where(abs(lam.imag + np.pi / 2) < 1e-15, lam.conj(), lam)
+    return complex(lam) if lam.ndim == 0 else lam
+
+
+def _same_bits(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert np.array_equal(got, ref)
+    for part in ("real", "imag"):
+        assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(ref, part)))
+
+
+def test_canonical_root_equals_unconditional_steps():
+    rng = rng_for(7, "canonical-root-reference")
+    # signed zeros, Re = 0 with Im < 0, Im = +-pi/2 and real values below -1/2
+    edges = [complex(r, s) for r in (-3.0, -0.7, -0.5, -0.0, 0.0, 0.2, 0.5, 1.3)
+             for s in (0.0, -0.0)] \
+        + [complex(re, im) for re in (0.0, -0.0) for im in (-0.3, 0.3, -np.pi / 2, np.pi / 2)] \
+        + [complex(-0.7, -1e-17), complex(-3, -1e-16), complex(-0.5, -5e-324)]
+    # values whose root lies within 1e-15 of Im = -pi/2: the conj step
+    near_edge = [complex(-0.7, -5e-16), complex(-0.7, -8e-16), complex(-2, -1e-15)]
+    draws = list(rng.normal(size=300) + 1j * rng.normal(size=300)) \
+        + list(-0.5 - 3 * rng.random(100) + 1j * rng.choice([-1, 1], 100)
+               * 10.0 ** rng.uniform(-17, -14, 100))
+    values = np.array(edges + near_edge + draws)
+    ref = _canonical_root_reference(values)
+    _same_bits(canonical_root(values), ref)
+    _same_bits(canonical_root(values.reshape(2, -1)), ref.reshape(2, -1))
+    for v, r in zip(values, ref):
+        got = canonical_root(v)
+        assert type(got) is complex
+        _same_bits(got, r)
+    # both the shift step and the conj step have roots to act on
+    raw = 0.5 * np.arccosh(2 * values + 0j)
+    assert np.any(raw.imag <= -np.pi / 2)
+    assert np.any((raw.imag > -np.pi / 2) & (raw.imag + np.pi / 2 < 1e-15))
+
+
+def test_trigpoly_at_varsigma_equals_call():
+    lams = np.array([0.77 - 0.35j, 0.41 + 0.2j, -1.3 + 0.9j, 2.1 - 0.05j])
+    ld = np.clongdouble
+    plain = TrigPoly(roots=(0.3 + 0.2j, 1.1 - 0.1j, 0.6 + 0.7j))
+    wide = TrigPoly(roots=tuple(np.array(plain.roots, dtype=ld) / ld(3)))
+    for q in (plain, wide, TrigPoly(roots=())):
+        for lam in (lams, lams.reshape(2, 2), lams.astype(ld), complex(lams[0]), ld(lams[1])):
+            got, ref = q.at_varsigma(varsigma(lam)), q(lam)
+            assert type(got) is type(ref) and np.shape(got) == np.shape(ref)
+            assert np.array_equal(got, ref)
+            if isinstance(ref, np.ndarray):
+                assert got.dtype == ref.dtype
+    assert wide(lams).dtype == ld
